@@ -9,8 +9,10 @@
 namespace rpq::bench {
 namespace {
 
+// Per-sub-vector share of the variance, after `rotator`'s rotation when
+// given (null = the raw coordinates).
 std::vector<double> ChunkEnergies(const Dataset& data,
-                                  const rpq::linalg::Matrix* rotation,
+                                  const rpq::quant::PqQuantizer* rotator,
                                   size_t m) {
   size_t dim = data.dim();
   size_t sub = dim / m;
@@ -18,8 +20,8 @@ std::vector<double> ChunkEnergies(const Dataset& data,
   std::vector<float> buf(dim);
   for (size_t i = 0; i < data.size(); ++i) {
     const float* row = data[i];
-    if (rotation != nullptr) {
-      rpq::linalg::MatVec(*rotation, row, buf.data());
+    if (rotator != nullptr) {
+      rotator->Rotate(row, buf.data());
       row = buf.data();
     }
     for (size_t j = 0; j < dim; ++j) mean[j] += row[j];
@@ -27,8 +29,8 @@ std::vector<double> ChunkEnergies(const Dataset& data,
   for (auto& v : mean) v /= data.size();
   for (size_t i = 0; i < data.size(); ++i) {
     const float* row = data[i];
-    if (rotation != nullptr) {
-      rpq::linalg::MatVec(*rotation, row, buf.data());
+    if (rotator != nullptr) {
+      rotator->Rotate(row, buf.data());
       row = buf.data();
     }
     for (size_t j = 0; j < dim; ++j) {
@@ -72,7 +74,7 @@ int main(int argc, char** argv) {
     auto res = rpq::core::TrainRpq(b.base, graph, p.rpq);
 
     auto before = ChunkEnergies(b.base, nullptr, p.rpq.m);
-    auto after = ChunkEnergies(b.base, &res.quantizer->rotation(), p.rpq.m);
+    auto after = ChunkEnergies(b.base, res.quantizer.get(), p.rpq.m);
 
     std::printf("[%s] share of total variance per sub-vector (M=%zu)\n", name,
                 p.rpq.m);

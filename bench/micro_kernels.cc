@@ -279,6 +279,67 @@ void BM_AdcTableBuildScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_AdcTableBuildScalar)->Arg(64)->Arg(256);
 
+// A 64 x 4-bit model on 128-dim data (sub-dim 2, the FastScan graph regime),
+// with a random orthonormal rotation R = exp(A - A^T) when `rotated`.
+std::unique_ptr<quant::PqQuantizer> MakeModel64x4(const Dataset& d,
+                                                  bool rotated) {
+  quant::PqOptions opt;
+  opt.m = 64;
+  opt.nbits = 4;
+  opt.kmeans_iters = 4;
+  auto plain = quant::PqQuantizer::Train(d, opt);
+  if (!rotated) return plain;
+  Rng rng(11);
+  linalg::Matrix p(d.dim(), d.dim());
+  for (size_t i = 0; i < p.rows() * p.cols(); ++i) {
+    p.data()[i] = rng.Gaussian(0, 0.1f);
+  }
+  return std::make_unique<quant::PqQuantizer>(
+      plain->codebook(), linalg::MatrixExp(linalg::SkewPart(p)));
+}
+
+// Query rotation y = R x at d = 128: arg 0 is the linalg::MatVec reference,
+// arg 1 PqQuantizer::Rotate (simd::MatTVec over the stored R^T). Both give
+// the same bits; the ratio is the kernel's speedup.
+void BM_RotateQuery(benchmark::State& state) {
+  Dataset d = synthetic::MakeSiftLike(1500, 3);
+  auto pq = MakeModel64x4(d, /*rotated=*/true);
+  const linalg::Matrix r = pq->rotation();
+  std::vector<float> y(d.dim());
+  size_t qi = 0;
+  state.SetLabel(state.range(0) == 0 ? "linalg::MatVec"
+                                     : simd::ActiveKernelName());
+  for (auto _ : state) {
+    const float* x = d[qi++ % d.size()];
+    if (state.range(0) == 0) {
+      linalg::MatVec(r, x, y.data());
+    } else {
+      pq->Rotate(x, y.data());
+    }
+    benchmark::DoNotOptimize(y.data());
+  }
+}
+BENCHMARK(BM_RotateQuery)->Arg(0)->Arg(1);
+
+// The whole per-query LUT chain of a FastScan graph search on a 64 x 4-bit
+// model: rotate (rotated model only), the float table, then the u8 table.
+// Rotated vs plain is what OPQ / RPQ pay over PQ per query.
+void BM_LutBuild(benchmark::State& state, bool rotated) {
+  Dataset d = synthetic::MakeSiftLike(1500, 3);
+  auto pq = MakeModel64x4(d, rotated);
+  size_t qi = 0;
+  state.SetLabel(simd::ActiveKernelName());
+  for (auto _ : state) {
+    quant::AdcTable table(*pq, d[qi++ % d.size()]);
+    quant::FastScanTable ftable(table);
+    benchmark::DoNotOptimize(ftable.lut8());
+  }
+}
+void BM_LutBuildPlain(benchmark::State& state) { BM_LutBuild(state, false); }
+BENCHMARK(BM_LutBuildPlain);
+void BM_LutBuildRotated(benchmark::State& state) { BM_LutBuild(state, true); }
+BENCHMARK(BM_LutBuildRotated);
+
 void BM_KMeansIteration(benchmark::State& state) {
   Dataset d = synthetic::MakeSiftLike(2000, 7);
   for (auto _ : state) {

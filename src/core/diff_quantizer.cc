@@ -8,6 +8,7 @@
 #include "common/logging.h"
 #include "linalg/matexp.h"
 #include "quant/kmeans.h"
+#include "simd/simd.h"
 
 namespace rpq::core {
 
@@ -30,7 +31,7 @@ DiffQuantizer::DiffQuantizer(size_t dim, const DiffQuantizerOptions& options)
   RPQ_CHECK_EQ(dim_ % block_size_, 0u);
   size_t nblocks = dim_ / block_size_;
   block_params_.assign(nblocks, linalg::Matrix(block_size_, block_size_));
-  block_rotation_.assign(nblocks, linalg::Matrix::Identity(block_size_));
+  block_rotation_t_.assign(nblocks, linalg::Matrix::Identity(block_size_));
 
   codebook_ = quant::Codebook(opt_.m, opt_.k, sub_dim_);
   chunk_temp_.assign(opt_.m, 1.0f);
@@ -38,13 +39,16 @@ DiffQuantizer::DiffQuantizer(size_t dim, const DiffQuantizerOptions& options)
 
 void DiffQuantizer::RefreshRotation() {
   for (size_t b = 0; b < block_params_.size(); ++b) {
-    block_rotation_[b] = linalg::MatrixExp(linalg::SkewPart(block_params_[b]));
+    block_rotation_t_[b] =
+        linalg::MatrixExp(linalg::SkewPart(block_params_[b])).Transposed();
   }
 }
 
 void DiffQuantizer::Rotate(const float* x, float* out) const {
-  for (size_t b = 0; b < block_rotation_.size(); ++b) {
-    linalg::MatVec(block_rotation_[b], x + b * block_size_, out + b * block_size_);
+  // Bit-identical to linalg::MatVec(R_b, ...) per block (simd::MatTVec).
+  for (size_t b = 0; b < block_rotation_t_.size(); ++b) {
+    simd::MatTVec(block_rotation_t_[b].data(), x + b * block_size_, block_size_,
+                  out + b * block_size_);
   }
 }
 
@@ -269,11 +273,11 @@ GradBuffer DiffQuantizer::MakeGradBuffer() const {
 std::unique_ptr<quant::PqQuantizer> DiffQuantizer::Deploy() const {
   // Assemble the full D x D (block-diagonal) rotation for deployment.
   linalg::Matrix r(dim_, dim_);
-  for (size_t b = 0; b < block_rotation_.size(); ++b) {
+  for (size_t b = 0; b < block_rotation_t_.size(); ++b) {
     for (size_t i = 0; i < block_size_; ++i) {
       for (size_t j = 0; j < block_size_; ++j) {
         r.At(b * block_size_ + i, b * block_size_ + j) =
-            block_rotation_[b].At(i, j);
+            block_rotation_t_[b].At(j, i);
       }
     }
   }

@@ -109,7 +109,8 @@ class DiffQuantizer {
   size_t dim_, sub_dim_, block_size_;
   DiffQuantizerOptions opt_;
   std::vector<linalg::Matrix> block_params_;    // P per block
-  std::vector<linalg::Matrix> block_rotation_;  // R = exp(P - P^T) per block
+  // R^T per block, R = exp(P - P^T): the layout simd::MatTVec reads.
+  std::vector<linalg::Matrix> block_rotation_t_;
   quant::Codebook codebook_;
   std::vector<float> chunk_temp_;  // per-chunk assignment temperature T_j
 };

@@ -751,16 +751,31 @@ Result<std::unique_ptr<IvfIndex>> IvfIndex::Load(
         return Status::IOError(path + ": truncated list vectors");
       }
     }
-    index->RepackList(list);
     total += count;
   }
   if (total != num_codes) {
     return Status::IOError(path + ": list totals disagree with header");
   }
+  // Nothing read from the file is packed before it is checked: the checksum
+  // first (v3), then the code range, which v1/v2 files have no CRC to cover.
+  // A corrupt code byte must come back as an IOError, not trip the 4-bit
+  // packer's RPQ_CHECK (or index past the codebook later).
   if (checked && !r.VerifyTrailer()) {
     return Status::IOError(path +
                            ": checksum mismatch (corrupt or torn file)");
   }
+  if (quantizer.split_model() == nullptr) {
+    const size_t k = quantizer.num_centroids();
+    for (const auto& list : index->lists_) {
+      for (uint8_t c : list.codes) {
+        if (c >= k) {
+          return Status::IOError(path +
+                                 ": code out of range for the quantizer");
+        }
+      }
+    }
+  }
+  for (auto& list : index->lists_) index->RepackList(list);
   index->num_codes_ = num_codes;
   return index;
 }

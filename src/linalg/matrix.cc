@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "common/fp_exact.h"
 #include "common/logging.h"
 
 namespace rpq::linalg {
@@ -99,6 +100,9 @@ Matrix MatMulTransB(const Matrix& a, const Matrix& b) {
   return c;
 }
 
+// Separately rounded multiply and add (no FMA contraction on targets that
+// have it): simd::MatTVec reproduces exactly this per-row order.
+RPQ_FP_EXACT_BEGIN
 void MatVec(const Matrix& a, const float* x, float* y) {
   for (size_t i = 0; i < a.rows(); ++i) {
     const float* row = a.Row(i);
@@ -107,15 +111,7 @@ void MatVec(const Matrix& a, const float* x, float* y) {
     y[i] = acc;
   }
 }
-
-void MatVecTrans(const Matrix& a, const float* x, float* y) {
-  for (size_t j = 0; j < a.cols(); ++j) y[j] = 0;
-  for (size_t i = 0; i < a.rows(); ++i) {
-    const float* row = a.Row(i);
-    float xi = x[i];
-    for (size_t j = 0; j < a.cols(); ++j) y[j] += row[j] * xi;
-  }
-}
+RPQ_FP_EXACT_END
 
 float MaxAbsDiff(const Matrix& a, const Matrix& b) {
   RPQ_CHECK(a.rows() == b.rows() && a.cols() == b.cols());

@@ -49,8 +49,6 @@ Matrix MatMulTransA(const Matrix& a, const Matrix& b);
 Matrix MatMulTransB(const Matrix& a, const Matrix& b);
 /// y = A * x for a length-cols vector x (y has length rows).
 void MatVec(const Matrix& a, const float* x, float* y);
-/// y = A^T * x for a length-rows vector x (y has length cols).
-void MatVecTrans(const Matrix& a, const float* x, float* y);
 /// ||A - B||_inf elementwise.
 float MaxAbsDiff(const Matrix& a, const Matrix& b);
 /// Skew-symmetric part (P - P^T).

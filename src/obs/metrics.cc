@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
+#include <thread>
 
 #include "common/logging.h"
 
@@ -21,6 +22,12 @@ struct ThreadShard {
     std::array<std::atomic<uint64_t>, kNumBuckets> buckets{};
     std::atomic<uint64_t> sum{0};
     std::atomic<uint64_t> max{0};
+    // Sequence lock: odd while the owner is mid-update. Readers retry until
+    // they see the same even value on both sides of their reads, so one
+    // shard's buckets, sum and max always describe the same samples (a
+    // reader between the bucket and the sum update would otherwise see a
+    // sum without its count).
+    std::atomic<uint64_t> seq{0};
   };
   std::array<HistShard, kMaxHistograms> histograms{};
   ThreadShard* next = nullptr;  // intrusive live list, guarded by Registry mu
@@ -29,6 +36,37 @@ struct ThreadShard {
 inline void ShardAdd(std::atomic<uint64_t>& slot, uint64_t delta) {
   slot.store(slot.load(std::memory_order_relaxed) + delta,
              std::memory_order_relaxed);
+}
+
+// Owner-side brackets of one histogram update (see HistShard::seq).
+inline void BeginUpdate(ThreadShard::HistShard& h) {
+  ShardAdd(h.seq, 1);
+  std::atomic_thread_fence(std::memory_order_release);
+}
+inline void EndUpdate(ThreadShard::HistShard& h) {
+  h.seq.store(h.seq.load(std::memory_order_relaxed) + 1,
+              std::memory_order_release);
+}
+
+// Folds one live shard's histogram into dst from a consistent read.
+void AddConsistent(const ThreadShard::HistShard& src, HistogramData* dst) {
+  HistogramData local;
+  for (;;) {
+    const uint64_t before = src.seq.load(std::memory_order_acquire);
+    if ((before & 1) == 0) {
+      local = HistogramData{};
+      for (uint32_t b = 0; b < kNumBuckets; ++b) {
+        local.buckets[b] = src.buckets[b].load(std::memory_order_relaxed);
+        local.count += local.buckets[b];
+      }
+      local.sum = src.sum.load(std::memory_order_relaxed);
+      local.max = src.max.load(std::memory_order_relaxed);
+      std::atomic_thread_fence(std::memory_order_acquire);
+      if (src.seq.load(std::memory_order_relaxed) == before) break;
+    }
+    std::this_thread::yield();
+  }
+  dst->Merge(local);
 }
 
 class Registry {
@@ -102,16 +140,7 @@ class Registry {
             s->counters[i].load(std::memory_order_relaxed);
       }
       for (size_t h = 0; h < histogram_names_.size(); ++h) {
-        HistogramData& dst = snap.histograms[h].data;
-        const auto& src = s->histograms[h];
-        for (uint32_t b = 0; b < kNumBuckets; ++b) {
-          const uint64_t n = src.buckets[b].load(std::memory_order_relaxed);
-          dst.buckets[b] += n;
-          dst.count += n;
-        }
-        dst.sum += src.sum.load(std::memory_order_relaxed);
-        const uint64_t m = src.max.load(std::memory_order_relaxed);
-        if (m > dst.max) dst.max = m;
+        AddConsistent(s->histograms[h], &snap.histograms[h].data);
       }
     }
     return snap;
@@ -228,16 +257,19 @@ void Add(CounterId id, uint64_t delta) {
 void Record(HistogramId id, uint64_t value) {
   if (!MetricsEnabled()) return;
   auto& h = LocalShard()->histograms[id];
+  BeginUpdate(h);
   ShardAdd(h.buckets[BucketIndexFor(value)], 1);
   ShardAdd(h.sum, value);
   if (value > h.max.load(std::memory_order_relaxed)) {
     h.max.store(value, std::memory_order_relaxed);
   }
+  EndUpdate(h);
 }
 
 void MergeInto(HistogramId id, const HistogramData& data) {
   if (!MetricsEnabled() || data.count == 0) return;
   auto& h = LocalShard()->histograms[id];
+  BeginUpdate(h);
   for (uint32_t b = 0; b < kNumBuckets; ++b) {
     if (data.buckets[b] != 0) ShardAdd(h.buckets[b], data.buckets[b]);
   }
@@ -245,6 +277,7 @@ void MergeInto(HistogramId id, const HistogramData& data) {
   if (data.max > h.max.load(std::memory_order_relaxed)) {
     h.max.store(data.max, std::memory_order_relaxed);
   }
+  EndUpdate(h);
 }
 
 const CounterSnapshot* Snapshot::FindCounter(const std::string& name) const {

@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 #include "common/logging.h"
 #include "simd/simd.h"
 
@@ -20,6 +24,62 @@ inline void PackCode(const uint8_t* code, size_t m, uint8_t* block,
     } else {
       *cell = static_cast<uint8_t>((*cell & 0x0f) | (code[j] << 4));
     }
+  }
+}
+
+// Min and max of one k-entry table row. Full 16-entry rows (the 4-bit
+// regime) take four SSE2 vectors; min and max are exact in any order, so
+// this equals the serial scan.
+inline void RowMinMax(const float* row, size_t k, float* mn, float* mx) {
+#if defined(__SSE2__)
+  if (k == 16) {
+    const __m128 r0 = _mm_loadu_ps(row), r1 = _mm_loadu_ps(row + 4);
+    const __m128 r2 = _mm_loadu_ps(row + 8), r3 = _mm_loadu_ps(row + 12);
+    __m128 lo = _mm_min_ps(_mm_min_ps(r0, r1), _mm_min_ps(r2, r3));
+    __m128 hi = _mm_max_ps(_mm_max_ps(r0, r1), _mm_max_ps(r2, r3));
+    lo = _mm_min_ps(lo, _mm_movehl_ps(lo, lo));
+    hi = _mm_max_ps(hi, _mm_movehl_ps(hi, hi));
+    *mn = _mm_cvtss_f32(_mm_min_ss(lo, _mm_shuffle_ps(lo, lo, 1)));
+    *mx = _mm_cvtss_f32(_mm_max_ss(hi, _mm_shuffle_ps(hi, hi, 1)));
+    return;
+  }
+#endif
+  float lo = row[0], hi = row[0];
+  for (size_t c = 1; c < k; ++c) {
+    lo = std::min(lo, row[c]);
+    hi = std::max(hi, row[c]);
+  }
+  *mn = lo;
+  *mx = hi;
+}
+
+// out[c] = round-half-up((row[c] - mn) / scale), clamped to 255: a
+// reciprocal multiply instead of a per-entry divide, and +0.5 then truncate
+// instead of lround — this runs on every query, right before the search.
+// Every step is elementwise, so the SSE2 path for full rows (truncating
+// cvttps2dq, then packs that cannot saturate values in [0, 255]) produces
+// the scalar loop's bytes.
+inline void QuantizeRow(const float* row, size_t k, float mn, float inv_scale,
+                        uint8_t* out) {
+#if defined(__SSE2__)
+  if (k == 16) {
+    const __m128 vmn = _mm_set1_ps(mn), vinv = _mm_set1_ps(inv_scale);
+    const __m128 cap = _mm_set1_ps(255.f), half = _mm_set1_ps(0.5f);
+    __m128i q[4];
+    for (int v = 0; v < 4; ++v) {
+      const __m128 x =
+          _mm_mul_ps(_mm_sub_ps(_mm_loadu_ps(row + 4 * v), vmn), vinv);
+      q[v] = _mm_cvttps_epi32(_mm_add_ps(_mm_min_ps(x, cap), half));
+    }
+    const __m128i bytes = _mm_packus_epi16(_mm_packs_epi32(q[0], q[1]),
+                                           _mm_packs_epi32(q[2], q[3]));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out), bytes);
+    return;
+  }
+#endif
+  for (size_t c = 0; c < k; ++c) {
+    const float q = (row[c] - mn) * inv_scale;
+    out[c] = static_cast<uint8_t>(std::min(q, 255.f) + 0.5f);
   }
 }
 
@@ -80,33 +140,22 @@ void FastScanTable::Quantize(const float* table, size_t k) {
   lut8_.assign(m2_ * 16, 0);
 
   // Shared scale: per-chunk minima fold into the bias, one delta quantizes
-  // every chunk so the kernel's plain integer sum stays meaningful.
+  // every chunk so the kernel's plain integer sum stays meaningful. bias_ is
+  // a serial sum in row order.
   bias_ = 0.f;
   float max_span = 0.f;
-  std::vector<float> mins(m_);
+  float mins[256];
   for (size_t j = 0; j < m_; ++j) {
-    const float* row = table + j * k;
-    float mn = row[0], mx = row[0];
-    for (size_t c = 1; c < k; ++c) {
-      mn = std::min(mn, row[c]);
-      mx = std::max(mx, row[c]);
-    }
-    mins[j] = mn;
-    bias_ += mn;
-    max_span = std::max(max_span, mx - mn);
+    float mx;
+    RowMinMax(table + j * k, k, &mins[j], &mx);
+    bias_ += mins[j];
+    max_span = std::max(max_span, mx - mins[j]);
   }
   scale_ = max_span > 0.f ? max_span / 255.f : 1.f;
 
-  // Reciprocal multiply instead of a per-entry divide, and round-half-up
-  // instead of lround: this runs on every query, right before the search.
   const float inv_scale = 1.f / scale_;
   for (size_t j = 0; j < m_; ++j) {
-    const float* row = table + j * k;
-    for (size_t c = 0; c < k; ++c) {
-      float q = (row[c] - mins[j]) * inv_scale;
-      lut8_[j * 16 + c] =
-          static_cast<uint8_t>(std::min(q, 255.f) + 0.5f);
-    }
+    QuantizeRow(table + j * k, k, mins[j], inv_scale, lut8_.data() + j * 16);
   }
 }
 

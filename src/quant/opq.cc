@@ -6,6 +6,7 @@
 #include "common/logging.h"
 #include "linalg/svd.h"
 #include "quant/kmeans.h"
+#include "simd/simd.h"
 
 namespace rpq::quant {
 
@@ -54,9 +55,11 @@ std::unique_ptr<PqQuantizer> TrainOpq(const Dataset& train,
     }
     r = linalg::ProcrustesRotation(xt, yt);
 
-    // Re-rotate the data for the next codebook step.
+    // Re-rotate the data for the next codebook step (simd::MatTVec over R^T
+    // is bit-identical to linalg::MatVec over R).
+    const linalg::Matrix rt = r.Transposed();
     for (size_t i = 0; i < n; ++i) {
-      linalg::MatVec(r, train[i], rotated.data() + i * d);
+      simd::MatTVec(rt.data(), train[i], d, rotated.data() + i * d);
     }
   }
 

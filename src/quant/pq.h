@@ -61,11 +61,14 @@ class PqQuantizer : public VectorQuantizer {
   size_t ModelSizeBytes() const override;
 
   const Codebook& codebook() const { return codebook_; }
-  bool has_rotation() const { return rotation_.has_value(); }
-  const linalg::Matrix& rotation() const { return *rotation_; }
+  bool has_rotation() const { return rotation_t_.has_value(); }
+  /// R itself, rebuilt from the stored transpose (a copy: for serialization,
+  /// re-deployment and tests, not for the query path).
+  linalg::Matrix rotation() const { return rotation_t_->Transposed(); }
 
   /// Maps an original-space vector into the quantized space (y = R x;
-  /// identity copy for plain PQ). Public because split-table construction
+  /// identity copy for plain PQ) through simd::MatTVec, bit-identical to
+  /// linalg::MatVec(R, vec, out). Public because split-table construction
   /// (quant/split.h) builds its per-level LUT rows from the rotated query.
   void Rotate(const float* vec, float* out) const;
 
@@ -81,7 +84,9 @@ class PqQuantizer : public VectorQuantizer {
  private:
   size_t dim_;
   Codebook codebook_;
-  std::optional<linalg::Matrix> rotation_;  // D x D orthonormal
+  // R^T (D x D, R orthonormal), the only stored copy: its rows are the
+  // columns of R, the layout simd::MatTVec streams for the query rotation.
+  std::optional<linalg::Matrix> rotation_t_;
   std::unique_ptr<SplitPqModel> split_;     // K = 256 split regime, or null
 };
 

@@ -12,7 +12,9 @@ namespace rpq::simd {
 /// One vtable of hot kernels. Every backend must produce results that agree
 /// with the scalar reference within 1e-4 relative error; the ADC kernels
 /// accumulate in the same chunk order as the scalar path and are therefore
-/// bit-identical to it.
+/// bit-identical to it, as are mat_t_vec and l2_to_many at d <= 3 (the
+/// sub-dim of 64-chunk codes on 128-dim data), so a rotated 4-bit model's
+/// whole lookup-table chain matches the scalar reference bit for bit.
 struct KernelOps {
   const char* name;  ///< "scalar", "avx2", "avx512", "neon"
 
@@ -25,9 +27,18 @@ struct KernelOps {
 
   /// out[i] = || q - base[i*d ..] ||^2 for i in [0, n). Fused row-block
   /// kernel used for ADC lookup-table construction and nearest-centroid
-  /// scans (base is n contiguous d-dim rows).
+  /// scans (base is n contiguous d-dim rows). For d <= 3 every backend runs
+  /// lanes over rows in the scalar order (0 + s_0 + s_1 + s_2, s_c the
+  /// squared difference of component c) and is bit-identical to it.
   void (*l2_to_many)(const float* q, const float* base, size_t n, size_t d,
                      float* out);
+
+  /// y = M x for a d x d matrix M given TRANSPOSED (mt = M^T, row-major):
+  ///   y[i] = sum_j mt[j*d + i] * x[j],  j ascending.
+  /// Every lane i starts at 0 and does one separately rounded multiply and
+  /// add per j, which is linalg::MatVec's order on M, so every backend is
+  /// bit-identical to it. This is the query rotation of OPQ / RPQ models.
+  void (*mat_t_vec)(const float* mt, const float* x, size_t d, float* y);
 
   /// Batched ADC scan over contiguous codes:
   ///   out[i] = sum_j table[j*k + codes[i*code_stride + j]],  j in [0, m).

@@ -3,12 +3,16 @@
 //
 // The ADC kernels use vpgatherdps on the lookup-table rows and keep one
 // accumulator lane per code, adding chunks in index order — bit-identical to
-// the scalar reference, which the beam-search regression test relies on.
+// the scalar reference, which the beam-search regression test relies on. So
+// are the rotation kernel and the d <= 3 table kernel, compiled without FMA
+// contraction (common/fp_exact.h).
 #include "simd/kernels.h"
 
 #if defined(RPQ_HAVE_AVX2)
 
 #include <immintrin.h>
+
+#include "common/fp_exact.h"
 
 namespace rpq::simd {
 namespace {
@@ -127,6 +131,125 @@ void L2ToManyMidDAvx2(const float* q, const float* base, size_t n, size_t d,
   for (; i < n; ++i) out[i] = Hsum256(row_sq(base + i * d));
 }
 
+RPQ_FP_EXACT_BEGIN
+
+// Lane l of component c reads float l*D + c of an 8-row block.
+template <int D>
+struct TinyDIndex {
+  alignas(32) int32_t idx[D][8];
+  constexpr TinyDIndex() : idx() {
+    for (int c = 0; c < D; ++c) {
+      for (int l = 0; l < 8; ++l) idx[c][l] = l * D + c;
+    }
+  }
+};
+template <int D>
+constexpr TinyDIndex<D> kTinyDIndex{};
+
+// d in {1, 2, 3}, lanes over rows: eight rows are 8*D contiguous floats in D
+// registers, and component c of lane l sits at float l*D + c. One cross-lane
+// permute per register plus blends pulls each component into its own vector,
+// so a lane sums its row's squared differences in the scalar order
+// (s_0 + s_1 + s_2) with separate multiplies and adds — bit-identical to
+// L2ToManyScalar.
+template <int D>
+void L2ToManyTinyDAvx2(const float* q, const float* base, size_t n,
+                       float* out) {
+  __m256i idx[D];
+  __m256 qv[D];
+  for (int c = 0; c < D; ++c) {
+    idx[c] = _mm256_load_si256(
+        reinterpret_cast<const __m256i*>(kTinyDIndex<D>.idx[c]));
+    qv[c] = _mm256_set1_ps(q[c]);
+  }
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const float* rows = base + i * D;
+    __m256 r[D];
+    for (int k = 0; k < D; ++k) r[k] = _mm256_loadu_ps(rows + 8 * k);
+    __m256 acc = _mm256_setzero_ps();
+    for (int c = 0; c < D; ++c) {
+      // permutevar8x32 reads the low 3 index bits; bits 3-4 pick the register.
+      __m256 v = D == 1 ? r[0] : _mm256_permutevar8x32_ps(r[0], idx[c]);
+      for (int k = 1; k < D; ++k) {
+        const __m256 from_k = _mm256_castsi256_ps(_mm256_cmpeq_epi32(
+            _mm256_srli_epi32(idx[c], 3), _mm256_set1_epi32(k)));
+        v = _mm256_blendv_ps(v, _mm256_permutevar8x32_ps(r[k], idx[c]), from_k);
+      }
+      const __m256 diff = _mm256_sub_ps(qv[c], v);
+      const __m256 sq = _mm256_mul_ps(diff, diff);
+      acc = c == 0 ? sq : _mm256_add_ps(acc, sq);
+    }
+    _mm256_storeu_ps(out + i, acc);
+  }
+  if (i < n) {
+    internal::ScalarKernels().l2_to_many(q, base + i * D, n - i, D, out + i);
+  }
+}
+
+// Tiles of V output vectors (8*V rows of y) keep their accumulators in
+// registers while j walks the rows of mt once; x[j] is broadcast once per
+// row. Lanes are rows of y and add one separately rounded product per j, so
+// each equals linalg::MatVec's serial row sum. `tail` masks the last,
+// partial vector (all lanes set when unused).
+template <int V, bool kMasked>
+void MatTVecTileAvx2(const float* mt, const float* x, size_t d, size_t i0,
+                     __m256i tail, float* y) {
+  __m256 acc[V];
+  for (int v = 0; v < V; ++v) acc[v] = _mm256_setzero_ps();
+  const float* col = mt + i0;
+  for (size_t j = 0; j < d; ++j, col += d) {
+    const __m256 xj = _mm256_set1_ps(x[j]);
+    for (int v = 0; v < V; ++v) {
+      const __m256 m = kMasked ? _mm256_maskload_ps(col + 8 * v, tail)
+                               : _mm256_loadu_ps(col + 8 * v);
+      acc[v] = _mm256_add_ps(acc[v], _mm256_mul_ps(m, xj));
+    }
+  }
+  for (int v = 0; v < V; ++v) {
+    if (kMasked) {
+      _mm256_maskstore_ps(y + i0 + 8 * v, tail, acc[v]);
+    } else {
+      _mm256_storeu_ps(y + i0 + 8 * v, acc[v]);
+    }
+  }
+}
+
+void MatTVecAvx2(const float* mt, const float* x, size_t d, float* y) {
+  const __m256i all = _mm256_set1_epi32(-1);
+  size_t i = 0;
+  for (; i + 64 <= d; i += 64) MatTVecTileAvx2<8, false>(mt, x, d, i, all, y);
+  if (i + 32 <= d) {
+    MatTVecTileAvx2<4, false>(mt, x, d, i, all, y);
+    i += 32;
+  }
+  if (i + 16 <= d) {
+    MatTVecTileAvx2<2, false>(mt, x, d, i, all, y);
+    i += 16;
+  }
+  if (i + 8 <= d) {
+    MatTVecTileAvx2<1, false>(mt, x, d, i, all, y);
+    i += 8;
+  }
+  if (i < d) {
+    const __m256i tail = _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(static_cast<int>(d - i)),
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    MatTVecTileAvx2<1, true>(mt, x, d, i, tail, y);
+  }
+}
+
+void L2ToManyTinyD(const float* q, const float* base, size_t n, size_t d,
+                   float* out) {
+  switch (d) {
+    case 1: L2ToManyTinyDAvx2<1>(q, base, n, out); break;
+    case 2: L2ToManyTinyDAvx2<2>(q, base, n, out); break;
+    default: L2ToManyTinyDAvx2<3>(q, base, n, out); break;
+  }
+}
+
+RPQ_FP_EXACT_END
+
 void L2ToManyAvx2(const float* q, const float* base, size_t n, size_t d,
                   float* out) {
   if (d >= 4 && d <= 8) {
@@ -137,10 +260,8 @@ void L2ToManyAvx2(const float* q, const float* base, size_t n, size_t d,
     L2ToManyMidDAvx2(q, base, n, d, out);
     return;
   }
-  if (d < 4) {
-    // d in {1, 2, 3}: below the narrowest useful vector the unrolled scalar
-    // loop measures faster than masked-load gymnastics.
-    internal::ScalarKernels().l2_to_many(q, base, n, d, out);
+  if (d >= 1 && d <= 3) {
+    L2ToManyTinyD(q, base, n, d, out);
     return;
   }
   for (size_t i = 0; i < n; ++i) {
@@ -368,7 +489,7 @@ namespace internal {
 const KernelOps& Avx2Kernels() {
   static const KernelOps ops = {
       "avx2",          SquaredL2Avx2, DotAvx2,      SquaredNormAvx2,
-      L2ToManyAvx2,    AdcBatchAvx2,  AdcBatchGatherAvx2,
+      L2ToManyAvx2,    MatTVecAvx2,   AdcBatchAvx2,  AdcBatchGatherAvx2,
       AdcFastScanAvx2, AdcFastScanMultiAvx2,
       AdcFastScanSplitAvx2, AdcFastScanSplitMultiAvx2,
   };

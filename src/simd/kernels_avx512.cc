@@ -7,6 +7,8 @@
 
 #include <immintrin.h>
 
+#include "common/fp_exact.h"
+
 namespace rpq::simd {
 namespace {
 
@@ -59,12 +61,134 @@ float DotAvx512(const float* a, const float* b, size_t d) {
 
 float SquaredNormAvx512(const float* a, size_t d) { return DotAvx512(a, a, d); }
 
+RPQ_FP_EXACT_BEGIN
+
+// Lane l of component c reads float l*D + c of a 16-row block.
+template <int D>
+struct TinyDIndex {
+  alignas(64) int32_t idx[D][16];
+  constexpr TinyDIndex() : idx() {
+    for (int c = 0; c < D; ++c) {
+      for (int l = 0; l < 16; ++l) idx[c][l] = l * D + c;
+    }
+  }
+};
+template <int D>
+constexpr TinyDIndex<D> kTinyDIndex{};
+
+// d in {1, 2, 3}, lanes over rows: sixteen rows are 16*D contiguous floats in
+// D registers, component c of lane l at float l*D + c. permutex2var gathers
+// it from the first two registers; a masked permutexvar fills the lanes
+// whose float lies in the third (its low 4 index bits are then the offset).
+// Each lane sums s_0 + s_1 + s_2 with separate multiplies and adds —
+// bit-identical to L2ToManyScalar.
+template <int D>
+void L2ToManyTinyDAvx512(const float* q, const float* base, size_t n,
+                         float* out) {
+  __m512i idx[D];
+  __mmask16 in_third[D];
+  __m512 qv[D];
+  for (int c = 0; c < D; ++c) {
+    idx[c] = _mm512_load_si512(kTinyDIndex<D>.idx[c]);
+    in_third[c] = _mm512_cmpge_epi32_mask(idx[c], _mm512_set1_epi32(32));
+    qv[c] = _mm512_set1_ps(q[c]);
+  }
+  size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const float* rows = base + i * D;
+    __m512 r[D];
+    for (int k = 0; k < D; ++k) r[k] = _mm512_loadu_ps(rows + 16 * k);
+    __m512 acc = _mm512_setzero_ps();
+    for (int c = 0; c < D; ++c) {
+      __m512 v = r[0];
+      if (D >= 2) v = _mm512_permutex2var_ps(r[0], idx[c], r[D >= 2 ? 1 : 0]);
+      if (D == 3) {
+        v = _mm512_mask_permutexvar_ps(v, in_third[c], idx[c], r[D - 1]);
+      }
+      const __m512 diff = _mm512_sub_ps(qv[c], v);
+      const __m512 sq = _mm512_mul_ps(diff, diff);
+      acc = c == 0 ? sq : _mm512_add_ps(acc, sq);
+    }
+    _mm512_storeu_ps(out + i, acc);
+  }
+  if (i < n) {
+    internal::ScalarKernels().l2_to_many(q, base + i * D, n - i, D, out + i);
+  }
+}
+
+// Tiles of V output vectors (16*V rows of y) keep their accumulators in
+// registers while j walks the rows of mt once — d = 128 is one tile. Each
+// lane is a row of y adding one separately rounded product per j, equal to
+// linalg::MatVec's serial row sum. With kMasked the last vector loads and
+// stores only the `tail` lanes.
+template <int V, bool kMasked>
+void MatTVecTileAvx512(const float* mt, const float* x, size_t d, size_t i0,
+                       __mmask16 tail, float* y) {
+  __m512 acc[V];
+  for (int v = 0; v < V; ++v) acc[v] = _mm512_setzero_ps();
+  const float* col = mt + i0;
+  for (size_t j = 0; j < d; ++j, col += d) {
+    const __m512 xj = _mm512_set1_ps(x[j]);
+    for (int v = 0; v < V; ++v) {
+      const __m512 m = kMasked && v == V - 1
+                           ? _mm512_maskz_loadu_ps(tail, col + 16 * v)
+                           : _mm512_loadu_ps(col + 16 * v);
+      acc[v] = _mm512_add_ps(acc[v], _mm512_mul_ps(m, xj));
+    }
+  }
+  for (int v = 0; v < V; ++v) {
+    if (kMasked && v == V - 1) {
+      _mm512_mask_storeu_ps(y + i0 + 16 * v, tail, acc[v]);
+    } else {
+      _mm512_storeu_ps(y + i0 + 16 * v, acc[v]);
+    }
+  }
+}
+
+void MatTVecAvx512(const float* mt, const float* x, size_t d, float* y) {
+  size_t i = 0;
+  for (; i + 128 <= d; i += 128) {
+    MatTVecTileAvx512<8, false>(mt, x, d, i, 0xffff, y);
+  }
+  // The remaining < 128 rows: one tile of ceil(rest / 16) vectors, the last
+  // one masked to the rows that exist.
+  const size_t rest = d - i;
+  if (rest == 0) return;
+  const __mmask16 tail = static_cast<__mmask16>(
+      rest % 16 == 0 ? 0xffffu : (1u << (rest % 16)) - 1u);
+  switch ((rest + 15) / 16) {
+    case 1: MatTVecTileAvx512<1, true>(mt, x, d, i, tail, y); break;
+    case 2: MatTVecTileAvx512<2, true>(mt, x, d, i, tail, y); break;
+    case 3: MatTVecTileAvx512<3, true>(mt, x, d, i, tail, y); break;
+    case 4: MatTVecTileAvx512<4, true>(mt, x, d, i, tail, y); break;
+    case 5: MatTVecTileAvx512<5, true>(mt, x, d, i, tail, y); break;
+    case 6: MatTVecTileAvx512<6, true>(mt, x, d, i, tail, y); break;
+    case 7: MatTVecTileAvx512<7, true>(mt, x, d, i, tail, y); break;
+    default: MatTVecTileAvx512<8, true>(mt, x, d, i, tail, y); break;
+  }
+}
+
+void L2ToManyTinyD(const float* q, const float* base, size_t n, size_t d,
+                   float* out) {
+  switch (d) {
+    case 1: L2ToManyTinyDAvx512<1>(q, base, n, out); break;
+    case 2: L2ToManyTinyDAvx512<2>(q, base, n, out); break;
+    default: L2ToManyTinyDAvx512<3>(q, base, n, out); break;
+  }
+}
+
+RPQ_FP_EXACT_END
+
 void L2ToManyAvx512(const float* q, const float* base, size_t n, size_t d,
                     float* out) {
+  if (d >= 1 && d <= 3) {
+    L2ToManyTinyD(q, base, n, d, out);
+    return;
+  }
   if (d < 16) {
     // Below one vector width the masked load + 16-lane reduce costs more
-    // than narrower code. The AVX2 set carries the cross-row kernel for the
-    // typical PQ sub-dims (4-8) and the unrolled scalar loop otherwise.
+    // than narrower code. The AVX2 set carries the cross-row kernels for
+    // the PQ sub-dims 4-15.
 #if defined(RPQ_HAVE_AVX2)
     internal::Avx2Kernels().l2_to_many(q, base, n, d, out);
 #else
@@ -376,6 +500,7 @@ const KernelOps& Avx512Kernels() {
     o.dot = DotAvx512;
     o.squared_norm = SquaredNormAvx512;
     o.l2_to_many = L2ToManyAvx512;
+    o.mat_t_vec = MatTVecAvx512;
     o.adc_batch = AdcBatchAvx512;
     o.adc_batch_gather = AdcBatchGatherAvx512;
 #if defined(RPQ_HAVE_AVX512BW_KERNEL)

@@ -11,6 +11,8 @@
 
 #include <arm_neon.h>
 
+#include "common/fp_exact.h"
+
 namespace rpq::simd {
 namespace {
 
@@ -63,8 +65,100 @@ inline float32x4_t Reduce4Rows(float32x4_t s0, float32x4_t s1, float32x4_t s2,
   return vpaddq_f32(vpaddq_f32(s0, s1), vpaddq_f32(s2, s3));
 }
 
+RPQ_FP_EXACT_BEGIN
+
+// d in {1, 2, 3}, lanes over rows: vld2q / vld3q de-interleave four rows
+// into one register per component, and each lane sums s_0 + s_1 + s_2 with
+// separate multiplies and adds — bit-identical to L2ToManyScalar.
+template <int D>
+float32x4_t SquaredRows4(const float* rows, const float32x4_t* qv) {
+  float32x4_t comp[D];
+  if constexpr (D == 1) {
+    comp[0] = vld1q_f32(rows);
+  } else if constexpr (D == 2) {
+    float32x4x2_t v = vld2q_f32(rows);
+    comp[0] = v.val[0];
+    comp[1] = v.val[1];
+  } else {
+    float32x4x3_t v = vld3q_f32(rows);
+    comp[0] = v.val[0];
+    comp[1] = v.val[1];
+    comp[2] = v.val[2];
+  }
+  float32x4_t acc = vdupq_n_f32(0.f);
+  for (int c = 0; c < D; ++c) {
+    const float32x4_t diff = vsubq_f32(qv[c], comp[c]);
+    const float32x4_t sq = vmulq_f32(diff, diff);
+    acc = c == 0 ? sq : vaddq_f32(acc, sq);
+  }
+  return acc;
+}
+
+template <int D>
+void L2ToManyTinyDNeon(const float* q, const float* base, size_t n,
+                       float* out) {
+  float32x4_t qv[D];
+  for (int c = 0; c < D; ++c) qv[c] = vdupq_n_f32(q[c]);
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    vst1q_f32(out + i, SquaredRows4<D>(base + i * D, qv));
+  }
+  if (i < n) {
+    internal::ScalarKernels().l2_to_many(q, base + i * D, n - i, D, out + i);
+  }
+}
+
+void L2ToManyTinyD(const float* q, const float* base, size_t n, size_t d,
+                   float* out) {
+  switch (d) {
+    case 1: L2ToManyTinyDNeon<1>(q, base, n, out); break;
+    case 2: L2ToManyTinyDNeon<2>(q, base, n, out); break;
+    default: L2ToManyTinyDNeon<3>(q, base, n, out); break;
+  }
+}
+
+// Tiles of V output vectors (4*V rows of y) keep their accumulators in
+// registers while j walks the rows of mt once. Each lane is a row of y
+// adding one separately rounded product per j — linalg::MatVec's serial row
+// sum; the last d % 4 rows take the scalar loop in the same order.
+template <int V>
+void MatTVecTileNeon(const float* mt, const float* x, size_t d, size_t i0,
+                     float* y) {
+  float32x4_t acc[V];
+  for (int v = 0; v < V; ++v) acc[v] = vdupq_n_f32(0.f);
+  const float* col = mt + i0;
+  for (size_t j = 0; j < d; ++j, col += d) {
+    const float32x4_t xj = vdupq_n_f32(x[j]);
+    for (int v = 0; v < V; ++v) {
+      acc[v] = vaddq_f32(acc[v], vmulq_f32(vld1q_f32(col + 4 * v), xj));
+    }
+  }
+  for (int v = 0; v < V; ++v) vst1q_f32(y + i0 + 4 * v, acc[v]);
+}
+
+void MatTVecNeon(const float* mt, const float* x, size_t d, float* y) {
+  size_t i = 0;
+  for (; i + 64 <= d; i += 64) MatTVecTileNeon<16>(mt, x, d, i, y);
+  for (; i + 16 <= d; i += 16) MatTVecTileNeon<4>(mt, x, d, i, y);
+  for (; i + 4 <= d; i += 4) MatTVecTileNeon<1>(mt, x, d, i, y);
+  for (; i < d; ++i) {
+    float acc = 0.f;
+    for (size_t j = 0; j < d; ++j) {
+      const float p = mt[j * d + i] * x[j];
+      acc += p;
+    }
+    y[i] = acc;
+  }
+}
+
+RPQ_FP_EXACT_END
+
 void L2ToManyNeon(const float* q, const float* base, size_t n, size_t d,
                   float* out) {
+  if (d >= 1 && d <= 3) {
+    L2ToManyTinyD(q, base, n, d, out);
+    return;
+  }
   // Cross-row kernels for the PQ sub-dims (4 and 8): four rows per
   // iteration, pairwise adds instead of four per-row horizontal sums.
   if (d == 4) {
@@ -236,6 +330,7 @@ const KernelOps& NeonKernels() {
     o.dot = DotNeon;
     o.squared_norm = SquaredNormNeon;
     o.l2_to_many = L2ToManyNeon;
+    o.mat_t_vec = MatTVecNeon;
     o.adc_fastscan = AdcFastScanNeon;
     o.adc_fastscan_multi = AdcFastScanMultiNeon;
     o.adc_fastscan_split = AdcFastScanSplitNeon;

@@ -1,9 +1,15 @@
 // Portable scalar reference kernels. Every SIMD backend is validated against
 // these in tests/simd_kernel_test.cc. The ADC kernels accumulate chunk-by-
-// chunk in index order so vector backends can match them bit-for-bit.
+// chunk in index order so vector backends can match them bit-for-bit. The
+// whole file is compiled without FMA contraction, so the references round
+// every multiply and add separately on every target (aarch64 included).
 #include "simd/kernels.h"
 
 #include <cstring>
+
+#include "common/fp_exact.h"
+
+RPQ_FP_EXACT_BEGIN
 
 namespace rpq::simd {
 namespace {
@@ -48,6 +54,17 @@ float SquaredNormScalar(const float* a, size_t d) { return DotScalar(a, a, d); }
 void L2ToManyScalar(const float* q, const float* base, size_t n, size_t d,
                     float* out) {
   for (size_t i = 0; i < n; ++i) out[i] = SquaredL2Scalar(q, base + i * d, d);
+}
+
+// Row j of mt scales x[j] into every lane; lanes sum in ascending j exactly
+// like linalg::MatVec's per-row loop on the untransposed matrix.
+void MatTVecScalar(const float* mt, const float* x, size_t d, float* y) {
+  for (size_t i = 0; i < d; ++i) y[i] = 0.f;
+  for (size_t j = 0; j < d; ++j) {
+    const float* row = mt + j * d;
+    const float xj = x[j];
+    for (size_t i = 0; i < d; ++i) y[i] += row[i] * xj;
+  }
 }
 
 // One code, m table reads + adds in chunk order.
@@ -174,7 +191,7 @@ namespace internal {
 const KernelOps& ScalarKernels() {
   static const KernelOps ops = {
       "scalar",          SquaredL2Scalar, DotScalar,
-      SquaredNormScalar, L2ToManyScalar,  AdcBatchScalar,
+      SquaredNormScalar, L2ToManyScalar,  MatTVecScalar, AdcBatchScalar,
       AdcBatchGatherScalar, AdcFastScanScalar, AdcFastScanMultiScalar,
       AdcFastScanSplitScalar, AdcFastScanSplitMultiScalar,
   };
@@ -183,3 +200,5 @@ const KernelOps& ScalarKernels() {
 
 }  // namespace internal
 }  // namespace rpq::simd
+
+RPQ_FP_EXACT_END

@@ -42,6 +42,12 @@ inline void L2ToMany(const float* q, const float* base, size_t n, size_t d,
   Ops().l2_to_many(q, base, n, d, out);
 }
 
+/// y = M x with M given transposed (mt = M^T, d x d row-major); bit-identical
+/// to linalg::MatVec(M, x, y) on every backend.
+inline void MatTVec(const float* mt, const float* x, size_t d, float* y) {
+  Ops().mat_t_vec(mt, x, d, y);
+}
+
 /// Batched ADC scan over contiguous codes (stride between codes in bytes).
 inline void AdcBatch(const float* table, size_t m, size_t k,
                      const uint8_t* codes, size_t code_stride, size_t n,

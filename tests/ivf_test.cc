@@ -662,6 +662,50 @@ TEST(IvfIndexTest, LoadRejectsCorruptListCounts) {
   std::remove(path.c_str());
 }
 
+// A flipped code byte must come back as a Status, never abort inside the
+// 4-bit packer: a v3 file fails its checksum before any list is repacked,
+// and a v2 file (no CRC) fails the code-range check.
+TEST(IvfIndexTest, LoadRejectsCorruptCodeByte) {
+  Fixture f = MakeFixture(400, 3, 4);
+  const std::string path = testing::TempDir() + "/ivf_code_flip.bin";
+  const long lists_off =
+      4 + 4 + 4 + 4 + 4 + 1 + 1 + 4 + 8 +
+      static_cast<long>(f.index->nlist() * f.base.dim() * sizeof(float));
+  for (uint32_t version : {3u, 2u}) {
+    ASSERT_TRUE(f.index->Save(path).ok());
+    std::FILE* fp = std::fopen(path.c_str(), "rb+");
+    ASSERT_NE(fp, nullptr);
+    if (version != 3) {
+      ASSERT_EQ(std::fseek(fp, 4, SEEK_SET), 0);
+      ASSERT_EQ(std::fwrite(&version, sizeof(version), 1, fp), 1u);
+    }
+    // Walk to the first non-empty list (no stored vectors: count, ids, codes).
+    long off = lists_off;
+    uint64_t count = 0;
+    for (;;) {
+      ASSERT_EQ(std::fseek(fp, off, SEEK_SET), 0);
+      ASSERT_EQ(std::fread(&count, sizeof(count), 1, fp), 1u);
+      if (count > 0) break;
+      off += sizeof(count);
+    }
+    const long code_off = off + 8 + static_cast<long>(count * sizeof(uint32_t));
+    uint8_t byte = 0;
+    ASSERT_EQ(std::fseek(fp, code_off, SEEK_SET), 0);
+    ASSERT_EQ(std::fread(&byte, 1, 1, fp), 1u);
+    ASSERT_LT(byte, 16);
+    byte |= 0x80;
+    ASSERT_EQ(std::fseek(fp, code_off, SEEK_SET), 0);
+    ASSERT_EQ(std::fwrite(&byte, 1, 1, fp), 1u);
+    std::fclose(fp);
+    auto loaded = ivf::IvfIndex::Load(path, *f.pq);
+    ASSERT_FALSE(loaded.ok()) << "version " << version;
+    const std::string want = version == 3 ? "checksum" : "code out of range";
+    EXPECT_NE(loaded.status().ToString().find(want), std::string::npos)
+        << loaded.status().ToString();
+  }
+  std::remove(path.c_str());
+}
+
 TEST(IvfIndexTest, LoadRejectsMismatchedQuantizer) {
   Fixture f = MakeFixture(400, 3, 4);
   std::string path = testing::TempDir() + "/ivf_mismatch.bin";

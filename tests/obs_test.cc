@@ -255,8 +255,9 @@ TEST(RegistryTest, MergeIntoFoldsLocalTallies) {
   obs::HistogramData local;
   for (uint64_t v : {1u, 2u, 300u, 40000u}) local.Record(v);
   obs::MergeInto(hist, local);
-  const obs::HistogramSnapshot* h =
-      obs::TakeSnapshot().FindHistogram("test.merge_into");
+  // FindHistogram points into the snapshot, so the snapshot must outlive h.
+  const obs::Snapshot snap = obs::TakeSnapshot();
+  const obs::HistogramSnapshot* h = snap.FindHistogram("test.merge_into");
   ASSERT_NE(h, nullptr);
   EXPECT_EQ(h->data.count, 4u);
   EXPECT_EQ(h->data.sum, 1u + 2u + 300u + 40000u);

@@ -1,15 +1,27 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "common/distance.h"
+#include "common/rng.h"
 #include "data/synthetic.h"
+#include "linalg/matexp.h"
+#include "linalg/matrix.h"
 #include "quant/adc.h"
+#include "quant/fastscan.h"
 #include "quant/kmeans.h"
 #include "quant/opq.h"
 #include "quant/pq.h"
+#include "quant/serialize.h"
 #include "quant/split.h"
+#include "simd/simd.h"
 
 namespace rpq::quant {
 namespace {
@@ -250,6 +262,159 @@ TEST(ModelSizeTest, RotationAddsToModelSize) {
   auto opq = TrainOpq(d, oopt);
   EXPECT_EQ(opq->ModelSizeBytes(),
             pq->ModelSizeBytes() + d.dim() * d.dim() * sizeof(float));
+}
+
+uint32_t Bits(float f) {
+  uint32_t u;
+  std::memcpy(&u, &f, sizeof(u));
+  return u;
+}
+
+// A model with a random orthonormal rotation R = exp(P - P^T) and random
+// codewords (no training: these tests pin arithmetic, not quality).
+std::unique_ptr<PqQuantizer> RandomRotatedModel(size_t dim, size_t m, size_t k,
+                                                uint64_t seed) {
+  Rng rng(seed);
+  Codebook book(m, k, dim / m);
+  for (size_t i = 0; i < book.num_floats(); ++i) {
+    book.data()[i] = rng.Gaussian();
+  }
+  linalg::Matrix p(dim, dim);
+  for (size_t i = 0; i < dim * dim; ++i) p.data()[i] = rng.Gaussian(0, 0.2f);
+  return std::make_unique<PqQuantizer>(std::move(book),
+                                       linalg::MatrixExp(linalg::SkewPart(p)));
+}
+
+// The rotated LUT chain is bit-exact for sub-dims <= 3: BuildLookupTable
+// (simd::MatTVec, then simd::L2ToMany) equals the scalar L2ToMany over
+// linalg::MatVec(R, q), whichever backend is dispatched.
+TEST(RotatedLutTest, BuildLookupTableMatchesScalarReferenceBitExactly) {
+  Rng rng(31);
+  // (dim, m): sub-dims 2 (64 x 4-bit on 128-dim), 3 and 1.
+  const std::pair<size_t, size_t> shapes[] = {{128, 64}, {24, 8}, {16, 16}};
+  for (auto [dim, m] : shapes) {
+    auto pq = RandomRotatedModel(dim, m, 16, dim + m);
+    const linalg::Matrix r = pq->rotation();
+    const size_t sub = dim / m;
+    for (int trial = 0; trial < 5; ++trial) {
+      std::vector<float> q(dim);
+      for (auto& x : q) x = rng.Gaussian(0, 3.f);
+      std::vector<float> rq(dim), want(m * 16), got(m * 16);
+      linalg::MatVec(r, q.data(), rq.data());
+      for (size_t j = 0; j < m; ++j) {
+        simd::ScalarOps().l2_to_many(rq.data() + j * sub,
+                                     pq->codebook().Chunk(j), 16, sub,
+                                     want.data() + j * 16);
+      }
+      pq->BuildLookupTable(q.data(), got.data());
+      for (size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(Bits(got[i]), Bits(want[i]))
+            << simd::ActiveKernelName() << " dim=" << dim << " entry " << i;
+      }
+    }
+  }
+}
+
+// FastScanTable's u8 quantization as it was written before the SSE2 row
+// path: serial min/max, then elementwise round-half-up.
+struct RefFastScan {
+  std::vector<uint8_t> lut8;
+  float bias = 0.f, scale = 0.f;
+};
+RefFastScan ReferenceQuantize(const float* table, size_t m, size_t k) {
+  RefFastScan out;
+  const size_t m2 = m + (m & 1);
+  out.lut8.assign(m2 * 16, 0);
+  float max_span = 0.f;
+  std::vector<float> mins(m);
+  for (size_t j = 0; j < m; ++j) {
+    const float* row = table + j * k;
+    float mn = row[0], mx = row[0];
+    for (size_t c = 1; c < k; ++c) {
+      mn = std::min(mn, row[c]);
+      mx = std::max(mx, row[c]);
+    }
+    mins[j] = mn;
+    out.bias += mn;
+    max_span = std::max(max_span, mx - mn);
+  }
+  out.scale = max_span > 0.f ? max_span / 255.f : 1.f;
+  const float inv_scale = 1.f / out.scale;
+  for (size_t j = 0; j < m; ++j) {
+    const float* row = table + j * k;
+    for (size_t c = 0; c < k; ++c) {
+      float q = (row[c] - mins[j]) * inv_scale;
+      out.lut8[j * 16 + c] = static_cast<uint8_t>(std::min(q, 255.f) + 0.5f);
+    }
+  }
+  return out;
+}
+
+TEST(FastScanQuantizeTest, MatchesReferenceQuantizeBitExactly) {
+  Rng rng(37);
+  for (size_t k : {size_t(16), size_t(9), size_t(1)}) {
+    for (size_t m : {size_t(1), size_t(7), size_t(64), size_t(256)}) {
+      std::vector<float> table(m * k);
+      for (auto& x : table) x = std::abs(rng.Gaussian(0, 40.f));
+      // A constant first row and a zero entry in the second.
+      for (size_t c = 0; c < k; ++c) table[c] = 3.f;
+      if (m > 1) table[k] = 0.f;
+      FastScanTable fs(table.data(), m, k);
+      RefFastScan ref = ReferenceQuantize(table.data(), m, k);
+      EXPECT_EQ(Bits(fs.bias()), Bits(ref.bias)) << "m=" << m << " k=" << k;
+      EXPECT_EQ(Bits(fs.scale()), Bits(ref.scale)) << "m=" << m << " k=" << k;
+      ASSERT_EQ(fs.padded_chunks() * 16, ref.lut8.size());
+      EXPECT_EQ(std::memcmp(fs.lut8(), ref.lut8.data(), ref.lut8.size()), 0)
+          << "m=" << m << " k=" << k;
+    }
+  }
+}
+
+// R is stored transposed; rotation() rebuilds it exactly, so an RPQQ file
+// round trip (which writes rotation()) changes no bit of R or of the tables.
+TEST(RotatedLutTest, RotationSurvivesSaveLoadUnchanged) {
+  auto pq = RandomRotatedModel(32, 16, 16, 41);
+  const std::string path = ::testing::TempDir() + "/rotated_lut.rpqq";
+  ASSERT_TRUE(SaveQuantizer(*pq, path).ok());
+  auto loaded = LoadQuantizer(path);
+  ASSERT_TRUE(loaded.ok());
+  const linalg::Matrix a = pq->rotation(), b = loaded.value()->rotation();
+  ASSERT_EQ(a.rows(), b.rows());
+  EXPECT_EQ(
+      std::memcmp(a.data(), b.data(), a.rows() * a.cols() * sizeof(float)), 0);
+  Rng rng(43);
+  std::vector<float> q(32);
+  for (auto& x : q) x = rng.Gaussian();
+  std::vector<float> t1(16 * 16), t2(16 * 16);
+  pq->BuildLookupTable(q.data(), t1.data());
+  loaded.value()->BuildLookupTable(q.data(), t2.data());
+  EXPECT_EQ(std::memcmp(t1.data(), t2.data(), t1.size() * sizeof(float)), 0);
+  std::remove(path.c_str());
+}
+
+// Decode applies R^T as linalg::MatVec over the stored transpose. That is
+// bit-identical to the column-accumulating loop over R that Decode ran when
+// R itself was stored.
+TEST(RotatedLutTest, DecodeMatchesColumnAccumulationOverRBitExactly) {
+  auto pq = RandomRotatedModel(48, 16, 16, 47);
+  const linalg::Matrix r = pq->rotation();
+  Rng rng(53);
+  std::vector<float> x(48), rot(48), want(48), got(48);
+  std::vector<uint8_t> code(pq->code_size());
+  for (int trial = 0; trial < 5; ++trial) {
+    for (auto& v : x) v = rng.Gaussian();
+    pq->Encode(x.data(), code.data());
+    for (size_t j = 0; j < 16; ++j) {
+      std::memcpy(rot.data() + j * 3, pq->codebook().Word(j, code[j]),
+                  3 * sizeof(float));
+    }
+    std::fill(want.begin(), want.end(), 0.f);
+    for (size_t i = 0; i < 48; ++i) {
+      for (size_t j = 0; j < 48; ++j) want[j] += r.At(i, j) * rot[i];
+    }
+    pq->Decode(code.data(), got.data());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), 48 * sizeof(float)), 0);
+  }
 }
 
 }  // namespace

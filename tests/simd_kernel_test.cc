@@ -1,15 +1,19 @@
 // Parity tests for the SIMD kernel subsystem: every dispatched kernel must
 // agree with the scalar reference across odd dimensions, unaligned pointers,
-// and batch remainders. The ADC kernels must agree bit-for-bit (they promise
-// scalar accumulation order); the float kernels get 1e-4 relative tolerance
-// because FMA/width changes the summation tree.
+// and batch remainders. The ADC kernels, the rotation kernel and the d <= 3
+// table kernel must agree bit-for-bit (they promise the scalar accumulation
+// order), on every backend this build and CPU can run; the other float
+// kernels get 1e-4 relative tolerance because FMA/width changes the
+// summation tree.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "linalg/matrix.h"
 #include "quant/adc.h"
 #include "quant/pq.h"
 #include "simd/simd.h"
@@ -31,6 +35,31 @@ std::vector<float> RandomVec(size_t n, Rng* rng) {
 }
 
 const size_t kDims[] = {1, 2, 7, 8, 15, 16, 31, 96, 128, 960};
+
+uint32_t Bits(float f) {
+  uint32_t u;
+  std::memcpy(&u, &f, sizeof(u));
+  return u;
+}
+
+// Every backend this build and CPU can run — not only the dispatched one —
+// so one test run pins each of them to the scalar reference.
+std::vector<const KernelOps*> RunnableBackends() {
+  std::vector<const KernelOps*> out = {&ScalarOps()};
+#if defined(RPQ_HAVE_AVX2)
+  if (__builtin_cpu_supports("avx2")) out.push_back(&internal::Avx2Kernels());
+#endif
+#if defined(RPQ_HAVE_AVX512)
+  if (__builtin_cpu_supports("avx512f")) {
+    out.push_back(&internal::Avx512Kernels());
+  }
+#endif
+#if defined(RPQ_HAVE_NEON)
+  out.push_back(&internal::NeonKernels());
+#endif
+  out.push_back(&Ops());
+  return out;
+}
 
 TEST(SimdKernelTest, ActiveBackendIsReported) {
   ASSERT_NE(ActiveKernelName(), nullptr);
@@ -85,8 +114,8 @@ TEST(SimdKernelTest, UnalignedPointersMatchScalar) {
 TEST(SimdKernelTest, L2ToManyMatchesScalar) {
   Rng rng(5);
   // 4-8 exercise the cross-row small-dim kernel, 9-15 the mid-dim cross-row
-  // kernel (two loads per row); the rest cover the scalar fallback (d < 4)
-  // and the wide per-row path.
+  // kernel (two loads per row); the rest cover the lanes-over-rows kernel
+  // (d < 4, bit-exact below) and the wide per-row path.
   for (size_t d : {size_t(1), size_t(3), size_t(4), size_t(5), size_t(6),
                    size_t(7), size_t(8), size_t(9), size_t(10), size_t(11),
                    size_t(12), size_t(13), size_t(14), size_t(15), size_t(16),
@@ -98,6 +127,61 @@ TEST(SimdKernelTest, L2ToManyMatchesScalar) {
       Ops().l2_to_many(q.data(), base.data(), n, d, got.data());
       ScalarOps().l2_to_many(q.data(), base.data(), n, d, want.data());
       for (size_t i = 0; i < n; ++i) ExpectClose(got[i], want[i]);
+    }
+  }
+}
+
+// Sub-dims 1-3 (64 chunks of 128-dim data is sub-dim 2) run lanes over rows
+// in the scalar order, so the table is bit-identical on every backend —
+// including row counts off the 8/16-lane blocks and unaligned rows.
+TEST(SimdKernelTest, L2ToManySmallSubDimMatchesScalarBitExactly) {
+  Rng rng(6);
+  for (size_t d : {size_t(1), size_t(2), size_t(3)}) {
+    for (size_t n : {size_t(1), size_t(7), size_t(16), size_t(17), size_t(33),
+                     size_t(256)}) {
+      auto q = RandomVec(d, &rng);
+      auto base = RandomVec(n * d + 1, &rng);
+      const float* rows = base.data() + 1;
+      std::vector<float> want(n);
+      ScalarOps().l2_to_many(q.data(), rows, n, d, want.data());
+      for (const KernelOps* ops : RunnableBackends()) {
+        std::vector<float> got(n + 1, -1.f);
+        ops->l2_to_many(q.data(), rows, n, d, got.data());
+        for (size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(Bits(got[i]), Bits(want[i]))
+              << ops->name << " d=" << d << " n=" << n << " row " << i;
+        }
+        EXPECT_EQ(got[n], -1.f) << ops->name << ": wrote past n";
+      }
+    }
+  }
+}
+
+// The rotation kernel against linalg::MatVec on the untransposed matrix, bit
+// for bit. Gaussian entries of both signs make any fused multiply-add or
+// reordered sum show. 2-16 cover partial and single vectors, 64 and 96 the
+// trainer's block-diagonal rotation blocks, 100 full tiles plus a masked
+// tail, 128 the full rotation of the paper's 128-dim data.
+TEST(SimdKernelTest, MatTVecMatchesLinalgMatVecBitExactly) {
+  Rng rng(7);
+  for (size_t d : {size_t(2), size_t(7), size_t(8), size_t(9), size_t(16),
+                   size_t(64), size_t(96), size_t(100), size_t(128)}) {
+    linalg::Matrix r(d, d);
+    for (size_t i = 0; i < d * d; ++i) r.data()[i] = rng.Gaussian();
+    const linalg::Matrix rt = r.Transposed();
+    for (int trial = 0; trial < 3; ++trial) {
+      auto x = RandomVec(d, &rng);
+      std::vector<float> want(d);
+      linalg::MatVec(r, x.data(), want.data());
+      for (const KernelOps* ops : RunnableBackends()) {
+        std::vector<float> got(d + 1, -1.f);
+        ops->mat_t_vec(rt.data(), x.data(), d, got.data());
+        for (size_t i = 0; i < d; ++i) {
+          ASSERT_EQ(Bits(got[i]), Bits(want[i]))
+              << ops->name << " d=" << d << " row " << i;
+        }
+        EXPECT_EQ(got[d], -1.f) << ops->name << ": wrote past d";
+      }
     }
   }
 }

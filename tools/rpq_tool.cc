@@ -137,6 +137,8 @@
 // graph/graph.h), so stages can run on different machines.
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -178,6 +180,36 @@ namespace {
 
 using rpq::Dataset;
 
+// Strict numeric parsing: the whole string must be the number. A plain
+// strtoull/strtod would turn "junk" into 0 and "64x" into 64.
+bool ParseSize(const char* s, size_t* out) {
+  if (*s < '0' || *s > '9') return false;  // empty, sign, or whitespace
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(s, &end, 10);
+  if (errno == ERANGE || *end != '\0') return false;
+  *out = static_cast<size_t>(v);
+  return true;
+}
+
+bool ParseDouble(const char* s, double* out) {
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(s, &end);
+  if (end == s || *end != '\0' || errno == ERANGE || !std::isfinite(v)) {
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
+[[noreturn]] void BadFlag(const std::string& key, const char* value,
+                          const char* expected) {
+  std::fprintf(stderr, "error: --%s expects %s, got '%s'\n", key.c_str(),
+               expected, value);
+  std::exit(1);
+}
+
 struct Flags {
   std::map<std::string, std::string> kv;
 
@@ -185,9 +217,23 @@ struct Flags {
     auto it = kv.find(key);
     return it == kv.end() ? fallback : it->second.c_str();
   }
+  /// The flag as a non-negative integer, or `fallback` when absent; any
+  /// other text exits with an error naming the flag.
   size_t GetSize(const std::string& key, size_t fallback) const {
     const char* v = Get(key);
-    return v == nullptr ? fallback : std::strtoull(v, nullptr, 10);
+    size_t out = fallback;
+    if (v != nullptr && !ParseSize(v, &out)) {
+      BadFlag(key, v, "a non-negative integer");
+    }
+    return out;
+  }
+  /// The flag as a finite number, or `fallback` when absent; any other text
+  /// exits with an error naming the flag.
+  double GetDouble(const std::string& key, double fallback) const {
+    const char* v = Get(key);
+    double out = fallback;
+    if (v != nullptr && !ParseDouble(v, &out)) BadFlag(key, v, "a number");
+    return out;
   }
   bool Has(const std::string& key) const { return kv.count(key) > 0; }
 };
@@ -672,16 +718,22 @@ struct TraceAccumulator {
   }
 };
 
+// "n1,n2,..." with every item a strict non-negative integer; empty on any
+// malformed item (the caller reports the flag).
 std::vector<size_t> ParseSizeList(const char* s) {
   std::vector<size_t> out;
-  while (s != nullptr && *s != '\0') {
-    char* end = nullptr;
-    size_t v = std::strtoull(s, &end, 10);
-    if (end == s) break;
+  std::string item;
+  for (const char* p = s;; ++p) {
+    if (*p != ',' && *p != '\0') {
+      item.push_back(*p);
+      continue;
+    }
+    size_t v = 0;
+    if (!ParseSize(item.c_str(), &v)) return {};
     out.push_back(v);
-    s = *end == ',' ? end + 1 : end;
+    item.clear();
+    if (*p == '\0') return out;
   }
-  return out;
 }
 
 int CmdBuildIvf(const Flags& flags) {
@@ -837,6 +889,24 @@ int CmdSearch(const Flags& flags) {
                           : use_disk ? TraceAccumulator::ForDisk()
                                      : TraceAccumulator{};
 
+  // Graph backends are built here, like the IVF one above: the timer below
+  // covers the query replay only, never index construction.
+  std::unique_ptr<rpq::disk::DiskIndex> disk_index;
+  rpq::disk::DiskIndexOptions dopt;
+  MemoryBackend backend;
+  if (use_disk) {
+    auto mode_ok = CheckDiskRerankMode(rmode);
+    if (!mode_ok.ok()) return Fail(mode_ok.ToString());
+    dopt.ssd.queue_depth = flags.GetSize("queue-depth", dopt.ssd.queue_depth);
+    dopt.io_width = flags.GetSize("io-width", dopt.io_width);
+    dopt.readahead = flags.GetSize("readahead", dopt.readahead);
+    disk_index = rpq::disk::DiskIndex::Build(base.value(), graph, *model, dopt);
+  } else if (!use_ivf) {
+    auto made = MakeMemoryBackend(flags, base.value(), graph, *model, rmode);
+    if (!made.ok()) return Fail(made.status().ToString());
+    backend = std::move(made.value());
+  }
+
   std::vector<std::vector<rpq::Neighbor>> results(queries.value().size());
   rpq::Timer timer;
   double io_seconds = 0;
@@ -851,18 +921,11 @@ int CmdSearch(const Flags& flags) {
       }
     }
   } else if (use_disk) {
-    auto mode_ok = CheckDiskRerankMode(rmode);
-    if (!mode_ok.ok()) return Fail(mode_ok.ToString());
-    rpq::disk::DiskIndexOptions dopt;
-    dopt.ssd.queue_depth = flags.GetSize("queue-depth", dopt.ssd.queue_depth);
-    dopt.io_width = flags.GetSize("io-width", dopt.io_width);
-    dopt.readahead = flags.GetSize("readahead", dopt.readahead);
-    auto index = rpq::disk::DiskIndex::Build(base.value(), graph, *model, dopt);
     rpq::disk::IoStats io_total;
     for (size_t q = 0; q < queries.value().size(); ++q) {
       rpq::obs::QueryTrace trace;
-      auto out = index->Search(queries.value()[q], k, {beam, k},
-                               trace_on ? &trace : nullptr);
+      auto out = disk_index->Search(queries.value()[q], k, {beam, k},
+                                    trace_on ? &trace : nullptr);
       results[q] = std::move(out.results);
       io_seconds += out.io.simulated_seconds;
       io_total.reads += out.io.reads;
@@ -885,9 +948,6 @@ int CmdSearch(const Flags& flags) {
         io_total.prefetch_issued, io_total.prefetch_hits,
         io_total.prefetch_wasted);
   } else {
-    auto made = MakeMemoryBackend(flags, base.value(), graph, *model, rmode);
-    if (!made.ok()) return Fail(made.status().ToString());
-    MemoryBackend backend = std::move(made.value());
     for (size_t q = 0; q < queries.value().size(); ++q) {
       rpq::obs::QueryTrace trace;
       auto out = backend.index->Search(queries.value()[q], k, {beam, k},
@@ -945,7 +1005,7 @@ int CmdServeBench(const Flags& flags) {
   opt.batch = flags.GetSize("batch", 0);  // open-loop leg only
   opt.deadline_us = flags.GetSize("deadline-us", 0);
   const size_t shards = flags.GetSize("shards", 1);
-  const double rate = std::strtod(flags.Get("rate", "0"), nullptr);
+  const double rate = flags.GetDouble("rate", 0);
   // --metrics-json turns the registry on for the whole run (index build
   // included) and writes the snapshot at the end.
   const char* metrics_json = flags.Get("metrics-json");
@@ -969,7 +1029,7 @@ int CmdServeBench(const Flags& flags) {
   rpq::obs::HttpExporter exporter([&flags] {
     rpq::obs::HttpExporterOptions hopt;
     hopt.port = static_cast<uint16_t>(flags.GetSize("stats-port", 0));
-    hopt.window_seconds = std::strtod(flags.Get("window-secs", "5"), nullptr);
+    hopt.window_seconds = flags.GetDouble("window-secs", 5);
     return hopt;
   }());
   if (stats_server) {
@@ -1100,9 +1160,9 @@ int CmdServeBench(const Flags& flags) {
       if (!mode_ok.ok()) return Fail(mode_ok.ToString());
       rpq::disk::DiskIndexOptions dopt;
       dopt.ssd.transient_error_rate =
-          std::strtod(flags.Get("disk-error-rate", "0"), nullptr);
+          flags.GetDouble("disk-error-rate", 0);
       dopt.ssd.latency_spike_rate =
-          std::strtod(flags.Get("disk-spike-rate", "0"), nullptr);
+          flags.GetDouble("disk-spike-rate", 0);
       dopt.ssd.fault_seed = flags.GetSize("fault-seed", 1);
       dopt.ssd.queue_depth = flags.GetSize("queue-depth", dopt.ssd.queue_depth);
       dopt.io_width = flags.GetSize("io-width", dopt.io_width);
@@ -1307,7 +1367,7 @@ int CmdMetricsValidate(const Flags& flags) {
       return Fail(std::string(path) + ": " + err);
     }
     const double interval =
-        std::strtod(flags.Get("interval-secs", "1"), nullptr);
+        flags.GetDouble("interval-secs", 1);
     const rpq::obs::WindowedView view =
         rpq::obs::DiffSnapshots(older, newer, interval);
     std::printf("diff %s -> %s over %.3gs:\n", older_path, path, interval);
@@ -1499,11 +1559,9 @@ int CmdBenchDiff(const std::vector<std::string>& positional,
   if (!ParseJsonFile(positional[1].c_str(), &new_root, &err)) return Fail(err);
 
   BenchDiffReport report;
-  report.max_regress = std::strtod(flags.Get("max-regress", "10"), nullptr);
-  report.max_recall_regress = std::strtod(
-      flags.Get("max-recall-regress",
-                flags.Get("max-regress", "10")),
-      nullptr);
+  report.max_regress = flags.GetDouble("max-regress", 10);
+  report.max_recall_regress =
+      flags.GetDouble("max-recall-regress", report.max_regress);
   DiffBenchValues("", "", old_root, new_root, &report);
 
   std::printf("bench-diff %s -> %s: %zu numeric leaves compared, %zu gated "
