@@ -131,12 +131,17 @@ class MemoryIndex {
               const quant::VectorQuantizer& quantizer)
       : graph_(graph), quantizer_(quantizer) {}
 
-  MemorySearchResult SearchFastScan(const float* query,
-                                    const quant::AdcTable& table, size_t k,
-                                    const graph::BeamSearchOptions& options,
-                                    const refine::RerankSpec& rerank,
-                                    graph::VisitedTable* visited,
-                                    obs::QueryTrace* trace) const;
+  /// The one per-query body behind Search and SearchBatch: beam search over
+  /// an already-built float table (the SDC table for kSdc), plus the
+  /// refinement epilogue for kFastScan, which routes on the u8 table derived
+  /// from it.
+  MemorySearchResult SearchWithTable(const float* query,
+                                     const quant::DistanceLut& table, size_t k,
+                                     const graph::BeamSearchOptions& options,
+                                     DistanceMode mode,
+                                     const refine::RerankSpec& rerank,
+                                     graph::VisitedTable* visited,
+                                     obs::QueryTrace* trace) const;
 
   /// Resolves a query-level mode request against the index defaults.
   refine::RerankMode ResolveRerankMode(refine::RerankMode requested) const;

@@ -9,6 +9,10 @@
 // first so a batch-capable oracle (e.g. quant::AdcBatchOracle) can score them
 // in one vectorized call. Results are identical to the straightforward
 // insert-one-at-a-time formulation; tests/beam_regression_test.cc pins that.
+//
+// detail::SeedEntry and detail::ExpandNeighbors are the one expansion core:
+// BeamSearch, the hybrid disk::DiskIndex::Search and HNSW's per-layer search
+// all run them. tests/disk_test.cc pins disk traversal == BeamSearch.
 #pragma once
 
 #include <algorithm>
@@ -21,6 +25,7 @@
 #include "common/deadline.h"
 #include "common/topk.h"
 #include "graph/graph.h"
+#include "obs/metrics.h"
 
 namespace rpq::graph {
 
@@ -32,6 +37,20 @@ struct SearchStats {
   bool deadline_hit = false;  ///< search stopped early at its deadline
 };
 
+/// Per-query roll-up of the traversal counters into the metrics registry
+/// (`graph.hops`, `graph.dist_comps`, `graph.visited_hits`): one TLS add per
+/// counter per query, never inside the traversal. Every graph backend
+/// records through here. No-op while metrics are off.
+inline void RecordSearchStats(const SearchStats& stats) {
+  if (!obs::MetricsEnabled()) return;
+  static const obs::CounterId hops = obs::GetCounter("graph.hops");
+  static const obs::CounterId dist = obs::GetCounter("graph.dist_comps");
+  static const obs::CounterId hits = obs::GetCounter("graph.visited_hits");
+  obs::Add(hops, stats.hops);
+  obs::Add(dist, stats.dist_comps);
+  obs::Add(hits, stats.visited_hits);
+}
+
 /// Beam-search knobs; beam_width is `h` in the paper.
 struct BeamSearchOptions {
   size_t beam_width = 32;
@@ -41,9 +60,8 @@ struct BeamSearchOptions {
   Deadline deadline;
 };
 
-/// How many ids ahead the neighbor-gather loops prefetch the visited-table
-/// stamp. One constant shared by graph::BeamSearch and the hybrid
-/// disk::DiskIndex::Search so the two hot loops cannot drift.
+/// How many ids ahead the neighbor-gather loop of detail::ExpandNeighbors
+/// prefetches the visited-table stamp.
 inline constexpr size_t kVisitedPrefetchDistance = 4;
 
 /// Optional per-step observer: receives the ranked global candidate set
@@ -158,6 +176,108 @@ class FlatBeam {
   size_t cursor_ = 0;
 };
 
+/// Caller-owned per-query scratch for ExpandNeighbors, reserved once so the
+/// hot loop never allocates: the unvisited neighbor ids of one expansion and
+/// their estimated distances.
+struct ExpandScratch {
+  explicit ExpandScratch(size_t reserve) {
+    ids.reserve(reserve);
+    dists.reserve(reserve);
+  }
+  std::vector<uint32_t> ids;
+  std::vector<float> dists;
+};
+
+/// Seeds a search at `entry`: scores it (through the single-vertex form when
+/// the oracle has one), inserts it into the beam, marks it visited and
+/// counts the distance computation.
+template <typename DistFn>
+inline void SeedEntry(FlatBeam& beam, VisitedTable& visited, DistFn& dist,
+                      uint32_t entry, SearchStats* stats) {
+  float d0;
+  if constexpr (std::is_invocable_r_v<float, DistFn&, uint32_t>) {
+    d0 = dist(entry);
+  } else {
+    dist(&entry, 1, &d0);
+  }
+  if (stats != nullptr) ++stats->dist_comps;
+  beam.Insert(d0, entry);
+  visited.MarkVisited(entry);
+}
+
+/// One beam expansion: scores vertex v's adjacency `nbrs[0, deg)` and
+/// inserts every newly seen neighbor into the beam, marking it visited and
+/// counting dist_comps / visited_hits into `stats` (may be null). The branch
+/// is picked at compile time on the oracle type.
+template <typename DistFn>
+inline void ExpandNeighbors(FlatBeam& beam, VisitedTable& visited,
+                            DistFn& dist, uint32_t v, const uint32_t* nbrs,
+                            size_t deg, ExpandScratch& scratch,
+                            SearchStats* stats) {
+  if constexpr (kHasNeighborBlockScore<DistFn>) {
+    // Neighbor-block oracle: score the WHOLE adjacency in one pass (the
+    // packed block scores 32 codes per shuffle, so re-scoring visited
+    // entries is cheaper than gathering the unvisited subset), then filter
+    // on the way into the beam. Distance-first pruning: a candidate worse
+    // than the beam's current worst can never be kept (the bound only
+    // tightens), so it is dropped on a register compare without spending a
+    // scattered visited-stamp load/store on it. Skipping its visited mark
+    // is safe for the same reason — any later encounter prunes again.
+    if (deg == 0) return;
+    std::vector<float>& cand_dists = scratch.dists;
+    cand_dists.resize(deg);
+    dist.ScoreNeighbors(v, nbrs, deg, cand_dists.data());
+    if (stats != nullptr) stats->dist_comps += deg;
+    float worst = beam.WorstDist();
+    for (size_t i = 0; i < deg; ++i) {
+      if (cand_dists[i] > worst) continue;
+      const uint32_t u = nbrs[i];
+      if (visited.Visited(u)) {
+        if (stats != nullptr) ++stats->visited_hits;
+        continue;
+      }
+      visited.MarkVisited(u);
+      beam.Insert(cand_dists[i], u);
+      worst = beam.WorstDist();
+    }
+  } else {
+    // Gather the unvisited neighbors first (prefetching visited stamps a
+    // few ids ahead), then score them through the oracle — batched when it
+    // can.
+    (void)v;
+    std::vector<uint32_t>& cand_ids = scratch.ids;
+    std::vector<float>& cand_dists = scratch.dists;
+    cand_ids.clear();
+    for (size_t i = 0; i < deg; ++i) {
+      if (i + kVisitedPrefetchDistance < deg) {
+        visited.Prefetch(nbrs[i + kVisitedPrefetchDistance]);
+      }
+      const uint32_t u = nbrs[i];
+      if (visited.Visited(u)) {
+        if (stats != nullptr) ++stats->visited_hits;
+        continue;
+      }
+      visited.MarkVisited(u);
+      cand_ids.push_back(u);
+    }
+    if (cand_ids.empty()) return;
+
+    cand_dists.resize(cand_ids.size());
+    if constexpr (kHasBatchScore<DistFn>) {
+      dist(cand_ids.data(), cand_ids.size(), cand_dists.data());
+    } else {
+      for (size_t i = 0; i < cand_ids.size(); ++i) {
+        cand_dists[i] = dist(cand_ids[i]);
+      }
+    }
+    if (stats != nullptr) stats->dist_comps += cand_ids.size();
+
+    for (size_t i = 0; i < cand_ids.size(); ++i) {
+      beam.Insert(cand_dists[i], cand_ids[i]);
+    }
+  }
+}
+
 }  // namespace detail
 
 /// Runs beam search from `entry`; `dist(v)` returns the (estimated) distance
@@ -173,21 +293,9 @@ std::vector<Neighbor> BeamSearch(const ProximityGraph& g, uint32_t entry,
   visited->NextEpoch();
 
   detail::FlatBeam beam(beam_width);
-  std::vector<uint32_t> cand_ids;    // unvisited neighbors of one expansion
-  std::vector<float> cand_dists;
-  cand_ids.reserve(64);
-  cand_dists.reserve(64);
+  detail::ExpandScratch scratch(64);
   std::vector<Neighbor> observer_view;
-
-  float d0;
-  if constexpr (std::is_invocable_r_v<float, DistFn&, uint32_t>) {
-    d0 = dist(entry);
-  } else {
-    dist(&entry, 1, &d0);
-  }
-  if (stats != nullptr) ++stats->dist_comps;
-  beam.Insert(d0, entry);
-  visited->MarkVisited(entry);
+  detail::SeedEntry(beam, *visited, dist, entry, stats);
 
   for (;;) {
     const size_t next = beam.NextUnexpanded();
@@ -212,71 +320,14 @@ std::vector<Neighbor> BeamSearch(const ProximityGraph& g, uint32_t entry,
     if (stats != nullptr) ++stats->hops;
 
     const std::vector<uint32_t>& nbrs = g.Neighbors(v);
-    const size_t deg = nbrs.size();
-    if constexpr (detail::kHasNeighborBlockScore<DistFn>) {
-      // Neighbor-block oracle: score the WHOLE adjacency in one pass (the
-      // packed block scores 32 codes per shuffle, so re-scoring visited
-      // entries is cheaper than gathering the unvisited subset), then filter
-      // on the way into the beam. Distance-first pruning: a candidate worse
-      // than the beam's current worst can never be kept (the bound only
-      // tightens), so it is dropped on a register compare without spending a
-      // scattered visited-stamp load/store on it. Skipping its visited mark
-      // is safe for the same reason — any later encounter prunes again.
-      if (deg == 0) continue;
-      cand_dists.resize(deg);
-      dist.ScoreNeighbors(v, nbrs.data(), deg, cand_dists.data());
-      if (stats != nullptr) stats->dist_comps += deg;
-      float worst = beam.WorstDist();
-      for (size_t i = 0; i < deg; ++i) {
-        if (cand_dists[i] > worst) continue;
-        uint32_t u = nbrs[i];
-        if (visited->Visited(u)) {
-          if (stats != nullptr) ++stats->visited_hits;
-          continue;
-        }
-        visited->MarkVisited(u);
-        beam.Insert(cand_dists[i], u);
-        worst = beam.WorstDist();
-      }
-      // Kick off the next expansion's block fetch while this iteration's
-      // bookkeeping (observer, stats, cursor walk) still runs.
-      if constexpr (detail::kHasPrefetchNeighbors<DistFn>) {
-        const size_t peek = beam.NextUnexpanded();
-        if (peek != detail::FlatBeam::kNone) {
-          dist.PrefetchNeighbors(beam.entries()[peek].id);
-        }
-      }
-    } else {
-      // Gather the unvisited neighbors first (prefetching visited stamps a
-      // few ids ahead), then score them through the oracle — batched when it
-      // can.
-      cand_ids.clear();
-      for (size_t i = 0; i < deg; ++i) {
-        if (i + kVisitedPrefetchDistance < deg) {
-          visited->Prefetch(nbrs[i + kVisitedPrefetchDistance]);
-        }
-        uint32_t u = nbrs[i];
-        if (visited->Visited(u)) {
-          if (stats != nullptr) ++stats->visited_hits;
-          continue;
-        }
-        visited->MarkVisited(u);
-        cand_ids.push_back(u);
-      }
-      if (cand_ids.empty()) continue;
-
-      cand_dists.resize(cand_ids.size());
-      if constexpr (detail::kHasBatchScore<DistFn>) {
-        dist(cand_ids.data(), cand_ids.size(), cand_dists.data());
-      } else {
-        for (size_t i = 0; i < cand_ids.size(); ++i) {
-          cand_dists[i] = dist(cand_ids[i]);
-        }
-      }
-      if (stats != nullptr) stats->dist_comps += cand_ids.size();
-
-      for (size_t i = 0; i < cand_ids.size(); ++i) {
-        beam.Insert(cand_dists[i], cand_ids[i]);
+    detail::ExpandNeighbors(beam, *visited, dist, v, nbrs.data(), nbrs.size(),
+                            scratch, stats);
+    // Kick off the next expansion's block fetch while this iteration's
+    // bookkeeping (observer, stats, cursor walk) still runs.
+    if constexpr (detail::kHasPrefetchNeighbors<DistFn>) {
+      const size_t peek = beam.NextUnexpanded();
+      if (peek != detail::FlatBeam::kNone) {
+        dist.PrefetchNeighbors(beam.entries()[peek].id);
       }
     }
   }
@@ -288,26 +339,6 @@ std::vector<Neighbor> BeamSearch(const ProximityGraph& g, uint32_t entry,
     results.push_back({beam.entries()[i].dist, beam.entries()[i].id});
   }
   return results;
-}
-
-/// Greedy 1-best descent (used to locate entry points during construction).
-template <typename DistFn>
-uint32_t GreedyDescent(const ProximityGraph& g, uint32_t entry, DistFn&& dist) {
-  uint32_t cur = entry;
-  float cur_d = dist(cur);
-  bool improved = true;
-  while (improved) {
-    improved = false;
-    for (uint32_t u : g.Neighbors(cur)) {
-      float d = dist(u);
-      if (d < cur_d) {
-        cur_d = d;
-        cur = u;
-        improved = true;
-      }
-    }
-  }
-  return cur;
 }
 
 }  // namespace rpq::graph

@@ -5,6 +5,7 @@
 
 #include "common/distance.h"
 #include "common/logging.h"
+#include "graph/beam_search.h"
 
 namespace rpq::graph {
 
@@ -26,44 +27,46 @@ std::unique_ptr<HnswIndex> HnswIndex::Build(const Dataset& base,
 
 std::vector<Neighbor> HnswIndex::SearchLayer(const float* query, uint32_t entry,
                                              size_t ef, size_t level) const {
-  visited_.NextEpoch();
+  // One layer's best-first search over the shared beam-expansion core (the
+  // same step graph::BeamSearch runs), on this layer's adjacency lists.
   const auto& layer = adj_[level];
+  const auto dist = [&](uint32_t u) {
+    return SquaredL2(query, base_[u], base_.dim());
+  };
+  visited_.NextEpoch();
+  detail::FlatBeam beam(ef);  // ascending, size <= ef
+  detail::ExpandScratch scratch(2 * opt_.m);
+  detail::SeedEntry(beam, visited_, dist, entry, nullptr);
+  for (size_t next = beam.NextUnexpanded(); next != detail::FlatBeam::kNone;
+       next = beam.NextUnexpanded()) {
+    beam.MarkExpanded(next);
+    const uint32_t v = beam.entries()[next].id;
+    detail::ExpandNeighbors(beam, visited_, dist, v, layer[v].data(),
+                            layer[v].size(), scratch, nullptr);
+  }
+  std::vector<Neighbor> out;
+  out.reserve(beam.entries().size());
+  for (const auto& e : beam.entries()) out.push_back({e.dist, e.id});
+  return out;
+}
 
-  std::vector<Neighbor> beam;  // ascending, size <= ef
-  std::vector<bool> expanded;
-  float d0 = SquaredL2(query, base_[entry], base_.dim());
-  beam.push_back({d0, entry});
-  expanded.push_back(false);
-  visited_.MarkVisited(entry);
-
-  for (;;) {
-    size_t next = beam.size();
-    for (size_t i = 0; i < beam.size(); ++i) {
-      if (!expanded[i]) {
-        next = i;
-        break;
-      }
-    }
-    if (next == beam.size()) break;
-    expanded[next] = true;
-    uint32_t v = beam[next].id;
-    for (uint32_t u : layer[v]) {
-      if (visited_.Visited(u)) continue;
-      visited_.MarkVisited(u);
-      float d = SquaredL2(query, base_[u], base_.dim());
-      Neighbor cand{d, u};
-      if (beam.size() >= ef && !(cand < beam.back())) continue;
-      auto it = std::lower_bound(beam.begin(), beam.end(), cand);
-      size_t pos = static_cast<size_t>(it - beam.begin());
-      beam.insert(it, cand);
-      expanded.insert(expanded.begin() + pos, false);
-      if (beam.size() > ef) {
-        beam.pop_back();
-        expanded.pop_back();
+uint32_t HnswIndex::DescendTo(const float* query, size_t level) const {
+  uint32_t cur = entry_;
+  for (size_t l = max_level_; l > level; --l) {
+    float cur_d = SquaredL2(query, base_[cur], base_.dim());
+    for (bool improved = true; improved;) {
+      improved = false;
+      for (uint32_t u : adj_[l][cur]) {
+        const float d = SquaredL2(query, base_[u], base_.dim());
+        if (d < cur_d) {
+          cur_d = d;
+          cur = u;
+          improved = true;
+        }
       }
     }
   }
-  return beam;
+  return cur;
 }
 
 std::vector<uint32_t> HnswIndex::SelectNeighbors(const float* /*query*/,
@@ -115,24 +118,7 @@ void HnswIndex::Insert(uint32_t id) {
   }
 
   const float* query = base_[id];
-  uint32_t cur = entry_;
-
-  // Greedy descent through layers above the node's level.
-  for (size_t l = max_level_; l > level && l > 0; --l) {
-    bool improved = true;
-    float cur_d = SquaredL2(query, base_[cur], base_.dim());
-    while (improved) {
-      improved = false;
-      for (uint32_t u : adj_[l][cur]) {
-        float d = SquaredL2(query, base_[u], base_.dim());
-        if (d < cur_d) {
-          cur_d = d;
-          cur = u;
-          improved = true;
-        }
-      }
-    }
-  }
+  uint32_t cur = DescendTo(query, level);
 
   // Insert with ef-search on each layer from min(level, max_level_) down to 0.
   for (size_t l = std::min(level, max_level_) + 1; l-- > 0;) {
@@ -165,23 +151,7 @@ void HnswIndex::Insert(uint32_t id) {
 
 std::vector<Neighbor> HnswIndex::Search(const float* query, size_t k,
                                         size_t ef) const {
-  uint32_t cur = entry_;
-  for (size_t l = max_level_; l > 0; --l) {
-    bool improved = true;
-    float cur_d = SquaredL2(query, base_[cur], base_.dim());
-    while (improved) {
-      improved = false;
-      for (uint32_t u : adj_[l][cur]) {
-        float d = SquaredL2(query, base_[u], base_.dim());
-        if (d < cur_d) {
-          cur_d = d;
-          cur = u;
-          improved = true;
-        }
-      }
-    }
-  }
-  auto beam = SearchLayer(query, cur, std::max(ef, k), 0);
+  auto beam = SearchLayer(query, DescendTo(query, 0), std::max(ef, k), 0);
   if (beam.size() > k) beam.resize(k);
   return beam;
 }

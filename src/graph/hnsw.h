@@ -43,6 +43,9 @@ class HnswIndex {
   HnswIndex(const Dataset& base, const HnswOptions& options);
 
   void Insert(uint32_t id);
+  /// Greedy 1-best descent from the top entry through every layer above
+  /// `level`; returns the closest vertex found.
+  uint32_t DescendTo(const float* query, size_t level) const;
   /// Beam search restricted to one layer; returns ascending candidates.
   std::vector<Neighbor> SearchLayer(const float* query, uint32_t entry,
                                     size_t ef, size_t level) const;

@@ -1,7 +1,7 @@
 // Pins the beam-search hot-loop rewrite to the straightforward reference
 // formulation (sorted vector + parallel expanded flags + full rescan per
-// step): identical results, stats, and observer traces, for both scalar
-// oracles and the batched ADC oracle.
+// step): identical results, stats, and observer traces, for scalar oracles,
+// the batched ADC oracle and the FastScan neighbor-block oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +12,7 @@
 #include "graph/beam_search.h"
 #include "graph/vamana.h"
 #include "quant/adc.h"
+#include "quant/fastscan.h"
 #include "quant/pq.h"
 
 namespace rpq::graph {
@@ -149,6 +150,41 @@ TEST(BeamRegressionTest, BatchedAdcOracleIdenticalToScalarReference) {
     ExpectSameResults(got, want);
     EXPECT_EQ(s_new.hops, s_ref.hops);
     EXPECT_EQ(s_new.dist_comps, s_ref.dist_comps);
+  }
+}
+
+TEST(BeamRegressionTest, FastScanNeighborBlockOracleIdenticalToScalarReference) {
+  // The neighbor-block branch scores a vertex's whole adjacency and prunes on
+  // the beam's worst distance before touching the visited table. Pruning only
+  // drops candidates the beam could never keep, so ids, distances and hops
+  // match the reference run over the same oracle's per-vertex estimate.
+  // dist_comps and visited_hits legitimately differ (whole blocks are
+  // scored, pruned candidates never reach the visited check).
+  Fixture f(41);
+  quant::PqOptions popt;
+  popt.m = 8;
+  popt.nbits = 4;
+  popt.kmeans_iters = 4;
+  auto pq = quant::PqQuantizer::Train(f.base, popt);
+  auto codes = pq->EncodeDataset(f.base);
+  const size_t cs = pq->code_size();
+  auto blocks = quant::PackedNeighborBlocks::Build(f.g, codes.data(), cs);
+
+  VisitedTable v_new(f.base.size()), v_ref(f.base.size());
+  for (size_t q = 0; q < f.queries.size(); ++q) {
+    quant::FastScanTable table(*pq, f.queries[q]);
+    quant::FastScanNeighborOracle oracle(table, codes.data(), cs, blocks);
+    static_assert(detail::kHasNeighborBlockScore<decltype(oracle)>);
+    auto scalar_oracle = [&](uint32_t v) { return oracle(v); };
+    for (size_t beam : {4u, 16u, 64u}) {
+      SearchStats s_new, s_ref;
+      auto got = BeamSearch(f.g, f.g.entry_point(), oracle, {beam, 10},
+                            &v_new, &s_new);
+      auto want = ReferenceBeamSearch(f.g, f.g.entry_point(), scalar_oracle,
+                                      {beam, 10}, &v_ref, &s_ref);
+      ExpectSameResults(got, want);
+      EXPECT_EQ(s_new.hops, s_ref.hops) << "query " << q << " beam " << beam;
+    }
   }
 }
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/deadline.h"
 #include "common/distance.h"
 #include "data/ground_truth.h"
@@ -9,6 +11,8 @@
 #include "disk/ssd_simulator.h"
 #include "eval/recall.h"
 #include "graph/vamana.h"
+#include "quant/adc.h"
+#include "quant/fastscan.h"
 #include "quant/pq.h"
 #include "serve/search_service.h"
 
@@ -272,6 +276,65 @@ TEST_F(DiskIndexTest, DeadlineExpiresMidWaveReturnsDegradedPartial) {
   // Entry wave (1 read) + one 8-wide wave at most before the budget check.
   EXPECT_LE(res.stats.hops, 9u);
   EXPECT_LT(res.results.size(), 10u);
+}
+
+// Disk traversal == memory traversal: at io_width=1 without readahead the
+// disk search expands the same vertices in the same order as
+// graph::BeamSearch over the same oracle and adjacency lists. Its only extra
+// work is one exact rerank per expanded block, counted as a distance
+// computation.
+template <typename Oracle>
+void ExpectDiskTraversalMatchesBeamSearch(const DiskIndex& index,
+                                          const graph::ProximityGraph& g,
+                                          const float* query,
+                                          const Oracle& oracle, size_t beam) {
+  const size_t k = 10;
+  const size_t w = std::max(beam, k);
+  auto disk = index.Search(query, k, {beam, k}, nullptr, {1, 0});
+  graph::VisitedTable visited(g.num_vertices());
+  graph::SearchStats mem;
+  graph::BeamSearch(g, g.entry_point(), oracle, {w, w}, &visited, &mem);
+  EXPECT_EQ(disk.stats.hops, mem.hops) << "beam " << beam;
+  EXPECT_EQ(disk.stats.visited_hits, mem.visited_hits) << "beam " << beam;
+  EXPECT_EQ(disk.stats.dist_comps, mem.dist_comps + mem.hops)
+      << "beam " << beam;
+}
+
+TEST_F(DiskIndexTest, AdcTraversalMatchesMemoryBeamSearch) {
+  ASSERT_FALSE(index_->fastscan_routing());
+  const auto codes = pq_->EncodeDataset(base_);
+  const size_t cs = pq_->code_size();
+  for (size_t q = 0; q < queries_.size(); ++q) {
+    quant::AdcTable table(*pq_, queries_[q]);
+    quant::AdcBatchOracle oracle{table, codes.data(), cs};
+    for (size_t beam : {8u, 32u, 64u}) {
+      SCOPED_TRACE(testing::Message() << "query " << q);
+      ExpectDiskTraversalMatchesBeamSearch(*index_, graph_, queries_[q],
+                                           oracle, beam);
+    }
+  }
+}
+
+TEST_F(DiskIndexTest, FastScanTraversalMatchesMemoryBeamSearch) {
+  quant::PqOptions popt;
+  popt.m = 16;
+  popt.nbits = 4;
+  auto pq4 = quant::PqQuantizer::Train(base_, popt);
+  auto index = DiskIndex::Build(base_, graph_, *pq4);
+  ASSERT_TRUE(index->fastscan_routing());
+  const auto codes = pq4->EncodeDataset(base_);
+  const size_t cs = pq4->code_size();
+  const auto blocks =
+      quant::PackedNeighborBlocks::Build(graph_, codes.data(), cs);
+  for (size_t q = 0; q < queries_.size(); ++q) {
+    quant::FastScanTable table(*pq4, queries_[q]);
+    quant::FastScanNeighborOracle oracle(table, codes.data(), cs, blocks);
+    for (size_t beam : {8u, 32u, 64u}) {
+      SCOPED_TRACE(testing::Message() << "query " << q);
+      ExpectDiskTraversalMatchesBeamSearch(*index, graph_, queries_[q],
+                                           oracle, beam);
+    }
+  }
 }
 
 TEST_F(DiskIndexTest, ServiceForwardsAsyncKnobs) {
