@@ -124,8 +124,12 @@ MemorySearchResult MemoryIndex::Search(const float* query, size_t k,
   if (mode == DistanceMode::kSdc) {
     const auto* pq = dynamic_cast<const quant::PqQuantizer*>(&quantizer_);
     RPQ_CHECK(pq != nullptr && "SDC requires a PQ-family quantizer");
-    const quant::SdcTable table(*pq, query);
-    return SearchWithTable(query, table, k, opt, mode, rerank, visited, trace);
+    std::optional<quant::SdcTable> table;
+    {
+      obs::ScopedStage span(obs::Stage::kLutBuild, trace);
+      table.emplace(*pq, query);
+    }
+    return SearchWithTable(query, *table, k, opt, mode, rerank, visited, trace);
   }
   std::optional<quant::AdcTable> table;
   {

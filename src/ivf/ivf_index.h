@@ -155,7 +155,6 @@ class IvfIndex {
   size_t nlist() const { return nlist_; }
   size_t dim() const { return dim_; }
   size_t size() const;  ///< total indexed vectors (locks)
-  size_t list_size(size_t l) const;
   bool stores_vectors() const { return options_.store_vectors; }
   bool residual() const { return options_.residual; }
   const quant::VectorQuantizer& quantizer() const { return quantizer_; }

@@ -389,18 +389,26 @@ TEST(QueryTraceTest, MemoryIndexRecordsStages) {
   auto model = quant::PqQuantizer::Train(base, popt);
   auto index = core::MemoryIndex::Build(base, graph, *model);
 
-  obs::QueryTrace trace;
-  auto out = index->Search(queries[0], 5, {32, 5},
-                           core::DistanceMode::kFastScan, {}, &trace);
-  ASSERT_FALSE(out.results.empty());
-  EXPECT_GE(trace.total(obs::Stage::kLutBuild).spans, 1u);
-  EXPECT_GE(trace.total(obs::Stage::kBeam).spans, 1u);
-  EXPECT_GE(trace.total(obs::Stage::kRefine).spans, 1u);
-  EXPECT_GE(trace.total(obs::Stage::kMerge).spans, 1u);
-  EXPECT_GT(trace.total(obs::Stage::kBeam).nanos, 0u);
-  // The stats the trace rides with are populated on the FastScan path too.
-  EXPECT_GT(out.stats.hops, 0u);
-  EXPECT_GT(out.stats.dist_comps, 0u);
+  // Every distance mode builds its per-query table inside the lut_build span
+  // (SDC's symmetric table included); only FastScan has a refine epilogue.
+  for (const core::DistanceMode mode :
+       {core::DistanceMode::kAdc, core::DistanceMode::kSdc,
+        core::DistanceMode::kFastScan}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    obs::QueryTrace trace;
+    auto out = index->Search(queries[0], 5, {32, 5, {}}, mode, {}, &trace);
+    ASSERT_FALSE(out.results.empty());
+    EXPECT_EQ(trace.total(obs::Stage::kLutBuild).spans, 1u);
+    EXPECT_GE(trace.total(obs::Stage::kBeam).spans, 1u);
+    EXPECT_GT(trace.total(obs::Stage::kBeam).nanos, 0u);
+    if (mode == core::DistanceMode::kFastScan) {
+      EXPECT_GE(trace.total(obs::Stage::kRefine).spans, 1u);
+      EXPECT_GE(trace.total(obs::Stage::kMerge).spans, 1u);
+    }
+    // The stats the trace rides with are populated on every path.
+    EXPECT_GT(out.stats.hops, 0u);
+    EXPECT_GT(out.stats.dist_comps, 0u);
+  }
 }
 
 TEST(QueryTraceTest, IvfIndexRecordsStages) {

@@ -13,29 +13,14 @@
 //                         --out ivf.bin [--nlist 64] [--nprobe 8]
 //                         [--store-vectors] [--train-sample 0]
 //                         [--residual [--nbits 8] [--m 16]]
-//   rpq_tool search       --base data/base.fvecs --graph g.bin
-//                         --model model.rpqq --queries data/queries.fvecs
-//                         --k 10 --beam 64 [--mode adc|sdc|fastscan]
-//                         [--rerank N] [--rerank-mode adc|exact|linkcode]
-//                         [--store-vectors] [--hybrid] [--dump-top1 path]
-//                         [--index memory|disk|ivf] [--ivf ivf.bin]
-//                         [--nlist 64] [--nprobe 8] [--residual]
+//   rpq_tool search       <backend flags> --queries data/queries.fvecs
+//                         [--k 10] [--dump-top1 path] [--trace]
 //                         [--sweep-nprobe 1,2,4,...] [--sweep-csv out.csv]
-//                         [--queue-depth 8] [--io-width 1] [--readahead 0]
-//                         [--trace]
-//   rpq_tool serve-bench  --base data/base.fvecs --graph g.bin
-//                         --model model.rpqq --queries data/queries.fvecs
-//                         [--threads 4] [--shards 1] [--parallel-shards]
-//                         [--k 10] [--beam 64] [--total 0] [--rate 0]
+//   rpq_tool serve-bench  <backend flags> --queries data/queries.fvecs
+//                         [--k 10] [--threads 4] [--total 0] [--rate 0]
 //                         [--batch 0] [--metrics-json out.json]
-//                         [--index memory|disk|ivf] [--mode adc|sdc|fastscan]
-//                         [--rerank N] [--rerank-mode adc|exact|linkcode]
-//                         [--nlist 64] [--nprobe 8] [--residual]
 //                         [--deadline-us 0] [--shed 0] [--brownout 0]
-//                         [--faults "point=rate,...,seed=N"] [--fault-seed N]
-//                         [--disk-error-rate 0] [--disk-spike-rate 0]
-//                         [--queue-depth 8] [--io-width 1] [--readahead 0]
-//                         [--shard-timeout-us 0] [--hedge-us 0] [--stall-ms 2]
+//                         [--faults "point=rate,...,seed=N"]
 //                         [--stats-port P] [--window-secs 5] [--slow-us 0]
 //                         [--slow-capacity 256] [--slow-json out.json]
 //   rpq_tool bench-diff   baseline.json candidate.json [--max-regress 10]
@@ -43,10 +28,35 @@
 //   rpq_tool metrics-validate --json out.json [--require name1,name2,...]
 //                         [--diff older.json [--interval-secs 1]]
 //
+// Backend flags. search and serve-bench build their backend with one builder
+// (MakeBackend), so every backend flag means the same thing in both, and a
+// flag the selected backend cannot honour is an error in both:
+//
+//   --base data/base.fvecs --model model.rpqq [--index memory|disk|ivf]
+//   memory (the default; alias graph):
+//       --graph g.bin --beam 64 [--mode adc|sdc|fastscan] [--rerank N]
+//       [--rerank-mode adc|exact|linkcode] [--store-vectors]
+//     or plain ADC shards: --shards S [--parallel-shards]
+//       [--shard-timeout-us 0] [--hedge-us 0] [--stall-ms 2]
+//   disk (alias --hybrid):
+//       --graph g.bin --beam 64 [--queue-depth 8] [--io-width 1]
+//       [--readahead 0] [--disk-error-rate 0] [--disk-spike-rate 0]
+//       [--fault-seed N]
+//   ivf: [--ivf ivf.bin] [--nlist 64] [--nprobe 8] [--residual [--m 16]]
+//       [--rerank N] [--rerank-mode adc|exact] [--store-vectors]
+//
+// Both commands then replay the queries serially through the backend's
+// serve::SearchService (search times that replay for its QPS; serve-bench
+// prints its recall line from it) and print the disk backend's simulated
+// device time as `disk-io us/query`.
+//
 // Observability (src/obs/): search --trace threads a per-query obs::QueryTrace
 // through the backend and prints a per-stage time breakdown plus the search
 // stats (hops, distance evals, visited-table hits) for the first few queries
-// and in aggregate. serve-bench --metrics-json enables the process-wide
+// and in aggregate. With the registry on (search --trace, or serve-bench with
+// --metrics-json, --stats-port or --slow-us) the replay also prints the
+// per-query mean of every disk.* I/O counter that moved during it.
+// serve-bench --metrics-json enables the process-wide
 // metrics registry for the run and writes the obs::DumpJson() snapshot —
 // per-stage latency histograms, backend counters, batcher occupancy — to the
 // given path; --batch N routes the open-loop leg through a MicroBatcher of
@@ -82,13 +92,13 @@
 // --index ivf serves the non-graph backend: coarse k-means routing over
 // --nlist cells, flat FastScan scans of the --nprobe nearest (requires a
 // FastScan-capable model: 4-bit, or split-trained K = 256; --graph is
-// unused). search builds the index in memory or loads one saved by build-ivf
-// (--ivf); --sweep-nprobe prints a recall/QPS operating curve over the given
+// unused). The index is built in memory or loaded from a build-ivf file
+// (--ivf) and probes --nprobe cells per query (default 8); --sweep-nprobe
+// prints a recall/QPS operating curve over the given
 // comma-separated nprobe values, and --sweep-csv also writes it as
 // `nprobe,recall@10,us_per_query` rows. serve-bench with --index ivf drives
 // the same concurrent load tests over IvfService, where a query's beam_width
-// slot carries its nprobe. --index memory is the in-memory graph backend
-// (alias: graph); --index disk the hybrid one (alias: --hybrid).
+// slot carries its nprobe.
 //
 // --residual selects residual IVFADC: codes quantize x - centroid of the
 // owning cell. Because the PQ codebooks must be trained on the residual
@@ -114,16 +124,16 @@
 // serve-bench drives the concurrent serving subsystem (src/serve/): a
 // closed-loop load test with --threads clients (and, when --rate is given,
 // an open-loop run at that arrival QPS), reporting QPS and p50/p95/p99
-// latency. --shards S > 1 builds an S-shard in-memory deployment (per-shard
-// Vamana graphs; --graph is then unused).
+// latency.
 //
 // Fault tolerance (see README "Fault tolerance"): --deadline-us gives every
 // query a latency budget (late queries return partial results flagged
 // degraded); --shed / --brownout set the open-loop engine's admission
 // watermarks; --faults installs a seeded process-wide injection plan (same
 // syntax as RPQ_FAULTS: "disk_read_error=0.01,shard_stall=0.05,seed=7");
-// --disk-error-rate / --disk-spike-rate set the SSD simulator's own
-// transient-failure and tail-spike rates (--index disk); --shard-timeout-us
+// --disk-error-rate / --disk-spike-rate / --fault-seed set the SSD
+// simulator's own transient-failure and tail-spike rates and their seed
+// (--index disk, search too); --shard-timeout-us
 // abandons shards that miss the cap (partial merge, shards_lost),
 // --hedge-us sends a hedge to the shard's replica after that delay, and
 // --stall-ms sizes the injected shard stall — the latter three imply
@@ -136,6 +146,7 @@
 // Every artifact is a documented binary format (see quant/serialize.h and
 // graph/graph.h), so stages can run on different machines.
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
@@ -257,9 +268,13 @@ int Fail(const std::string& msg) {
   return 1;
 }
 
-rpq::Result<Dataset> LoadBase(const Flags& flags) {
-  const char* path = flags.Get("base");
-  if (path == nullptr) return rpq::Status::InvalidArgument("--base is required");
+// The fvecs file named by the required flag --<key> (--base, --queries).
+rpq::Result<Dataset> LoadVectors(const Flags& flags, const char* key) {
+  const char* path = flags.Get(key);
+  if (path == nullptr) {
+    return rpq::Status::InvalidArgument(std::string("--") + key +
+                                        " is required");
+  }
   return rpq::io::ReadFvecs(path);
 }
 
@@ -281,7 +296,7 @@ int CmdGen(const Flags& flags) {
 }
 
 int CmdStats(const Flags& flags) {
-  auto base = LoadBase(flags);
+  auto base = LoadVectors(flags, "base");
   if (!base.ok()) return Fail(base.status().ToString());
   const Dataset& d = base.value();
   double lid = rpq::EstimateLid(d, 20, std::min<size_t>(200, d.size() / 2));
@@ -291,7 +306,7 @@ int CmdStats(const Flags& flags) {
 }
 
 int CmdBuildGraph(const Flags& flags) {
-  auto base = LoadBase(flags);
+  auto base = LoadVectors(flags, "base");
   if (!base.ok()) return Fail(base.status().ToString());
   std::string type = flags.Get("type", "vamana");
   const char* out = flags.Get("out");
@@ -326,7 +341,7 @@ int CmdBuildGraph(const Flags& flags) {
 }
 
 int CmdTrain(const Flags& flags) {
-  auto base = LoadBase(flags);
+  auto base = LoadVectors(flags, "base");
   if (!base.ok()) return Fail(base.status().ToString());
   std::string method = flags.Get("method", "rpq");
   const char* out = flags.Get("out");
@@ -398,7 +413,7 @@ int CmdTrain(const Flags& flags) {
 }
 
 int CmdEncode(const Flags& flags) {
-  auto base = LoadBase(flags);
+  auto base = LoadVectors(flags, "base");
   if (!base.ok()) return Fail(base.status().ToString());
   const char* mpath = flags.Get("model");
   const char* out = flags.Get("out");
@@ -417,80 +432,18 @@ int CmdEncode(const Flags& flags) {
   return 0;
 }
 
-// Parses --rerank-mode (absent = auto); false on unknown names.
-bool GetRerankMode(const Flags& flags, rpq::refine::RerankMode* mode) {
-  return rpq::refine::ParseRerankMode(flags.Get("rerank-mode", "auto"), mode);
+// Parses --rerank-mode (absent = auto); unknown names are a flag error.
+rpq::Status GetRerankMode(const Flags& flags, rpq::refine::RerankMode* mode) {
+  if (rpq::refine::ParseRerankMode(flags.Get("rerank-mode", "auto"), mode)) {
+    return rpq::Status::OK();
+  }
+  return rpq::Status::InvalidArgument(
+      "--rerank-mode must be adc, exact, or linkcode");
 }
 
-// Builds a Link&Code refinement model shaped like `model` (same m/K, its
-// own least-squares neighbor weights) for --rerank-mode linkcode.
-std::unique_ptr<rpq::quant::LinkCodeIndex> BuildLinkCode(
-    const Dataset& base, const rpq::graph::ProximityGraph& graph,
-    const rpq::quant::PqQuantizer& model) {
-  rpq::quant::LinkCodeOptions opt;
-  opt.pq.m = model.num_chunks();
-  opt.pq.k = model.num_centroids();
-  opt.pq.nbits = model.num_centroids() <= 16 ? 4 : 8;
-  return rpq::quant::LinkCodeIndex::Build(base, graph, opt);
-}
-
-// The memory (graph) backend with its refinement epilogue configured from
-// the flags — one implementation shared by search and serve-bench so the
-// two commands cannot drift: distance-mode parse, the rerank-mode-requires-
-// fastscan rule, --rerank-mode exact implying retained rows, and Link&Code
-// model wiring.
-struct MemoryBackend {
-  std::unique_ptr<rpq::core::MemoryIndex> index;
-  std::unique_ptr<rpq::quant::LinkCodeIndex> linkcode;  ///< kLinkCode only
-  rpq::core::DistanceMode mode = rpq::core::DistanceMode::kAdc;
-};
-
-rpq::Result<MemoryBackend> MakeMemoryBackend(
-    const Flags& flags, const Dataset& base,
-    const rpq::graph::ProximityGraph& graph,
-    const rpq::quant::PqQuantizer& model, rpq::refine::RerankMode rmode) {
-  MemoryBackend b;
-  const std::string mode_name = flags.Get("mode", "adc");
-  if (mode_name == "sdc") {
-    b.mode = rpq::core::DistanceMode::kSdc;
-  } else if (mode_name == "fastscan") {
-    b.mode = rpq::core::DistanceMode::kFastScan;
-  } else if (mode_name != "adc") {
-    // A typo'd mode must not silently benchmark plain ADC.
-    return rpq::Status::InvalidArgument("unknown --mode: " + mode_name +
-                                        " (adc|sdc|fastscan)");
-  }
-  if (rmode != rpq::refine::RerankMode::kAuto &&
-      b.mode != rpq::core::DistanceMode::kFastScan) {
-    return rpq::Status::InvalidArgument(
-        "--rerank-mode applies to --mode fastscan (the mode with a "
-        "refinement epilogue)");
-  }
-  rpq::core::MemoryIndexOptions mopt;
-  mopt.store_vectors = flags.Has("store-vectors") ||
-                       rmode == rpq::refine::RerankMode::kExact;
-  b.index = rpq::core::MemoryIndex::Build(base, graph, model, mopt);
-  if (b.mode == rpq::core::DistanceMode::kFastScan) {
-    if (!b.index->fastscan_capable()) {
-      return rpq::Status::InvalidArgument(
-          "--mode fastscan needs a 4-bit model (train with --nbits 4)");
-    }
-    b.index->set_fastscan_rerank(flags.GetSize("rerank", 0));
-    b.index->set_rerank_mode(rmode);
-    if (rmode == rpq::refine::RerankMode::kLinkCode) {
-      rpq::Timer lc_timer;
-      b.linkcode = BuildLinkCode(base, graph, model);
-      b.index->set_linkcode(b.linkcode.get());
-      std::printf("linkcode model fit in %.1fs\n", lc_timer.ElapsedSeconds());
-    }
-  }
-  return rpq::Result<MemoryBackend>(std::move(b));
-}
-
-// IVF refinement-stage validation shared by search, serve-bench, and
-// build-ivf. Called with index == nullptr before any index work (the
-// stages IVF can never serve) and again with the built/loaded index
-// (exact needs the raw rows this particular index retains).
+// IVF refinement-stage validation. Called with index == nullptr before any
+// index work (the stages IVF can never serve) and again with the built or
+// loaded index (exact needs the raw rows this particular index retains).
 rpq::Status CheckIvfRerankMode(rpq::refine::RerankMode rmode,
                                const rpq::ivf::IvfIndex* index) {
   if (rmode == rpq::refine::RerankMode::kLinkCode) {
@@ -507,126 +460,284 @@ rpq::Status CheckIvfRerankMode(rpq::refine::RerankMode rmode,
   return rpq::Status::OK();
 }
 
-// The disk backend's exact-on-fetch rerank is inherent; any other requested
-// stage is a flag error (shared by search and serve-bench).
-rpq::Status CheckDiskRerankMode(rpq::refine::RerankMode rmode) {
-  if (rmode == rpq::refine::RerankMode::kAuto ||
-      rmode == rpq::refine::RerankMode::kExact) {
-    return rpq::Status::OK();
+// A backend assembled from the flags by MakeBackend: the one place search
+// and serve-bench build what they serve, so a backend flag means the same
+// thing in both. `service` is the front end every query goes through, and
+// `width` its per-query knob (the beam, or nprobe for IVF).
+//
+// Declaration order is destruction order in reverse, and it matters: the
+// sharded deployment's destructor drains abandoned fan-out tasks that may
+// still touch the shard backends AND what those borrow (the quantizer, the
+// graph, the caller's base rows) — so everything borrowed is declared
+// BEFORE the service objects, outliving them.
+struct Backend {
+  Backend() = default;
+  // Pinned in place: the indexes hold references to `graph` and `model`.
+  Backend(const Backend&) = delete;
+  Backend& operator=(const Backend&) = delete;
+
+  /// --model, or the residual model the IVF flow trained in-process.
+  std::unique_ptr<rpq::quant::PqQuantizer> model;
+  rpq::graph::ProximityGraph graph;
+  std::unique_ptr<rpq::core::MemoryIndex> mem_index;
+  std::unique_ptr<rpq::quant::LinkCodeIndex> linkcode;  ///< kLinkCode only
+  std::unique_ptr<rpq::disk::DiskIndex> disk_index;
+  std::unique_ptr<rpq::ivf::IvfIndex> ivf_index;
+  std::unique_ptr<rpq::serve::SearchService> owned_service;
+  rpq::serve::ShardedMemoryIndex sharded;
+  const rpq::serve::SearchService* service = nullptr;
+  size_t width = 64;
+  size_t shards = 1;
+};
+
+// The memory (graph) backend with its refinement epilogue configured from
+// the flags: distance-mode parse, the rerank-mode-requires-fastscan rule,
+// --rerank-mode exact implying retained rows, and Link&Code model wiring.
+rpq::Status MakeMemoryBackend(const Flags& flags, const Dataset& base,
+                              rpq::refine::RerankMode rmode, Backend* b) {
+  rpq::core::DistanceMode mode = rpq::core::DistanceMode::kAdc;
+  const std::string mode_name = flags.Get("mode", "adc");
+  if (mode_name == "sdc") {
+    mode = rpq::core::DistanceMode::kSdc;
+  } else if (mode_name == "fastscan") {
+    mode = rpq::core::DistanceMode::kFastScan;
+  } else if (mode_name != "adc") {
+    // A typo'd mode must not silently benchmark plain ADC.
+    return rpq::Status::InvalidArgument("unknown --mode: " + mode_name +
+                                        " (adc|sdc|fastscan)");
   }
-  return rpq::Status::InvalidArgument(
-      "the disk backend reranks every fetched vector exactly; --rerank-mode " +
-      std::string(rpq::refine::RerankModeName(rmode)) + " does not apply");
+  if (rmode != rpq::refine::RerankMode::kAuto &&
+      mode != rpq::core::DistanceMode::kFastScan) {
+    return rpq::Status::InvalidArgument(
+        "--rerank-mode applies to --mode fastscan (the mode with a "
+        "refinement epilogue)");
+  }
+  rpq::core::MemoryIndexOptions mopt;
+  mopt.store_vectors = flags.Has("store-vectors") ||
+                       rmode == rpq::refine::RerankMode::kExact;
+  b->mem_index = rpq::core::MemoryIndex::Build(base, b->graph, *b->model, mopt);
+  if (mode == rpq::core::DistanceMode::kFastScan) {
+    if (!b->mem_index->fastscan_capable()) {
+      return rpq::Status::InvalidArgument(
+          "--mode fastscan needs a 4-bit model (train with --nbits 4)");
+    }
+    b->mem_index->set_fastscan_rerank(flags.GetSize("rerank", 0));
+    b->mem_index->set_rerank_mode(rmode);
+    if (rmode == rpq::refine::RerankMode::kLinkCode) {
+      // A Link&Code model shaped like --model (same m/K, its own
+      // least-squares neighbor weights).
+      rpq::Timer lc_timer;
+      rpq::quant::LinkCodeOptions lopt;
+      lopt.pq.m = b->model->num_chunks();
+      lopt.pq.k = b->model->num_centroids();
+      lopt.pq.nbits = lopt.pq.k <= 16 ? 4 : 8;
+      b->linkcode = rpq::quant::LinkCodeIndex::Build(base, b->graph, lopt);
+      b->mem_index->set_linkcode(b->linkcode.get());
+      std::printf("linkcode model fit in %.1fs\n", lc_timer.ElapsedSeconds());
+    }
+  }
+  b->owned_service =
+      std::make_unique<rpq::serve::MemoryIndexService>(*b->mem_index, mode);
+  return rpq::Status::OK();
 }
 
-// IVF build knobs shared by build-ivf, search --index ivf, serve-bench.
-// --rerank-mode exact implies --store-vectors: the exact stage needs the
-// raw rows resident.
-rpq::ivf::IvfOptions IvfOptionsFrom(const Flags& flags) {
+// Builds an IVF index over the base into `b`. The plain flow encodes raw
+// rows with `b->model` (required); the --residual flow trains the coarse
+// quantizer first (deterministic in the flags, so the same flags reproduce
+// the same routing) and encodes per-cell residuals with `b->model` when set,
+// a freshly trained residual model otherwise. Impossible refinement stages
+// are rejected before the (potentially expensive) build, and --rerank-mode
+// exact implies --store-vectors: the exact stage needs the raw rows resident.
+rpq::Status BuildIvfIndex(const Flags& flags, const Dataset& base,
+                          rpq::refine::RerankMode rmode, Backend* b) {
+  RPQ_RETURN_NOT_OK(CheckIvfRerankMode(rmode, nullptr));
   rpq::ivf::IvfOptions opt;
-  rpq::refine::RerankMode rmode = rpq::refine::RerankMode::kAuto;
-  GetRerankMode(flags, &rmode);
   opt.nlist = flags.GetSize("nlist", 64);
   opt.default_nprobe = flags.GetSize("nprobe", 8);
   opt.store_vectors = flags.Has("store-vectors") ||
                       rmode == rpq::refine::RerankMode::kExact;
   opt.train_sample = flags.GetSize("train-sample", 0);
   opt.residual = flags.Has("residual");
-  return opt;
-}
-
-// Residual-regime model training: the PQ codebooks must see the residual
-// distribution (x - centroid), which only exists once the coarse quantizer
-// is trained — so the residual flow derives the training set here instead of
-// loading a model trained on the raw corpus. --nbits 8 (the default in this
-// flow) trains the K = 256 split-table regime; --nbits 4 a plain 4-bit model.
-rpq::Result<std::unique_ptr<rpq::quant::PqQuantizer>> TrainResidualModel(
-    const Dataset& base, const std::vector<float>& centroids,
-    const Flags& flags) {
-  const size_t nbits = flags.GetSize("nbits", 8);
-  if (nbits != 8 && nbits != 4) {
-    return rpq::Status::InvalidArgument("--nbits must be 8 or 4");
-  }
-  const size_t dim = base.dim();
-  const size_t nlist = centroids.size() / dim;
-  std::vector<float> resid(base.size() * dim);
-  for (size_t i = 0; i < base.size(); ++i) {
-    const uint32_t c =
-        rpq::quant::NearestCentroid(base[i], centroids.data(), nlist, dim);
-    const float* cent = centroids.data() + size_t{c} * dim;
-    for (size_t d = 0; d < dim; ++d) {
-      resid[i * dim + d] = base[i][d] - cent[d];
-    }
-  }
-  Dataset residual_set(base.size(), dim, std::move(resid));
-  rpq::quant::PqOptions opt;
-  opt.m = flags.GetSize("m", 16);
-  opt.nbits = nbits;
-  if (nbits == 8) {
-    return rpq::quant::TrainSplitPq(residual_set, opt);
-  }
-  return rpq::quant::PqQuantizer::Train(residual_set, opt);
-}
-
-// An IVF deployment assembled from the flags. The index borrows its
-// quantizer, so the backend owns both; `model` is the loaded --model or, in
-// the in-process residual flow, the freshly trained one.
-struct IvfBackend {
-  std::unique_ptr<rpq::quant::PqQuantizer> model;
-  std::unique_ptr<rpq::ivf::IvfIndex> index;
-};
-
-// Loads a saved IVF index (--ivf + --model), or builds one over the base in
-// memory: the plain flow encodes raw rows with the loaded --model; the
-// --residual flow trains the coarse quantizer first (or re-derives it — the
-// k-means is deterministic in the flags) and encodes per-cell residuals with
-// --model when given, a freshly trained residual model otherwise.
-rpq::Result<IvfBackend> MakeIvfBackend(const Flags& flags,
-                                       const Dataset& base) {
-  IvfBackend b;
-  const char* mpath = flags.Get("model");
-  if (const char* path = flags.Get("ivf")) {
-    if (mpath == nullptr) {
-      return rpq::Status::InvalidArgument(
-          "--ivf needs --model (the quantizer the index was built with)");
-    }
-    auto model = rpq::quant::LoadQuantizer(mpath);
-    if (!model.ok()) return model.status();
-    b.model = std::move(model.value());
-    auto loaded = rpq::ivf::IvfIndex::Load(path, *b.model);
-    if (!loaded.ok()) return loaded.status();
-    b.index = std::move(loaded.value());
-    return rpq::Result<IvfBackend>(std::move(b));
-  }
-  rpq::ivf::IvfOptions opt = IvfOptionsFrom(flags);
-  if (opt.residual) {
-    std::vector<float> centroids = rpq::ivf::IvfIndex::TrainCoarse(base, opt);
-    if (mpath != nullptr) {
-      auto model = rpq::quant::LoadQuantizer(mpath);
-      if (!model.ok()) return model.status();
-      b.model = std::move(model.value());
-    } else {
-      auto trained = TrainResidualModel(base, centroids, flags);
-      if (!trained.ok()) return trained.status();
-      b.model = std::move(trained.value());
-    }
-    b.index = rpq::ivf::IvfIndex::BuildWithCentroids(base, std::move(centroids),
-                                                     *b.model, opt);
-    return rpq::Result<IvfBackend>(std::move(b));
-  }
-  if (mpath == nullptr) {
+  if (b->model == nullptr && !opt.residual) {
     return rpq::Status::InvalidArgument("--model is required");
   }
-  auto model = rpq::quant::LoadQuantizer(mpath);
-  if (!model.ok()) return model.status();
-  b.model = std::move(model.value());
-  if (b.model->num_centroids() > 16 && b.model->split_model() == nullptr) {
+  std::vector<float> centroids;
+  if (opt.residual) centroids = rpq::ivf::IvfIndex::TrainCoarse(base, opt);
+  if (b->model == nullptr) {
+    // The residual model's codebooks must see the residual distribution
+    // (x - centroid), which only exists once the coarse quantizer is
+    // trained, so the training set is derived here. --nbits 8 (the default
+    // in this flow) trains the K = 256 split-table regime; --nbits 4 a plain
+    // 4-bit model.
+    const size_t nbits = flags.GetSize("nbits", 8);
+    if (nbits != 8 && nbits != 4) {
+      return rpq::Status::InvalidArgument("--nbits must be 8 or 4");
+    }
+    const size_t dim = base.dim();
+    std::vector<float> resid(base.size() * dim);
+    for (size_t i = 0; i < base.size(); ++i) {
+      const uint32_t c = rpq::quant::NearestCentroid(
+          base[i], centroids.data(), centroids.size() / dim, dim);
+      const float* cent = centroids.data() + size_t{c} * dim;
+      for (size_t d = 0; d < dim; ++d) {
+        resid[i * dim + d] = base[i][d] - cent[d];
+      }
+    }
+    const Dataset residual_set(base.size(), dim, std::move(resid));
+    rpq::quant::PqOptions popt;
+    popt.m = flags.GetSize("m", 16);
+    popt.nbits = nbits;
+    b->model = nbits == 8 ? rpq::quant::TrainSplitPq(residual_set, popt)
+                          : rpq::quant::PqQuantizer::Train(residual_set, popt);
+  }
+  if (b->model->num_centroids() > 16 && b->model->split_model() == nullptr) {
     return rpq::Status::InvalidArgument(
-        "--index ivf needs a FastScan-capable model: 4-bit (--nbits 4) or "
+        "the IVF index needs a FastScan-capable model: 4-bit (--nbits 4) or "
         "split-trained K = 256 (train --split / build-ivf --residual)");
   }
-  b.index = rpq::ivf::IvfIndex::Build(base, *b.model, opt);
-  return rpq::Result<IvfBackend>(std::move(b));
+  if (opt.residual) {
+    b->ivf_index = rpq::ivf::IvfIndex::BuildWithCentroids(
+        base, std::move(centroids), *b->model, opt);
+  } else {
+    b->ivf_index = rpq::ivf::IvfIndex::Build(base, *b->model, opt);
+  }
+  return rpq::Status::OK();
+}
+
+// Assembles the backend the flags select, over `base` (borrowed; it must
+// outlive the backend):
+//   --index memory (alias graph)  one in-memory graph index over --graph, or
+//                                 an S-shard deployment with --shards S > 1
+//                                 (per-shard Vamana graphs, plain ADC)
+//   --index disk   (alias --hybrid)  the hybrid SSD index over --graph
+//   --index ivf    a saved index (--ivf + --model) or one built here
+// Flags a backend cannot honour are errors, never silently ignored.
+rpq::Result<std::unique_ptr<Backend>> MakeBackend(const Flags& flags,
+                                                  const Dataset& base) {
+  auto b = std::make_unique<Backend>();
+  const char* index_flag = flags.Get("index");
+  std::string kind = index_flag != nullptr ? index_flag : "memory";
+  if (kind == "graph") kind = "memory";  // alias
+  if (flags.Has("hybrid")) {
+    if (index_flag != nullptr && kind != "disk") {
+      return rpq::Status::InvalidArgument(
+          "--hybrid selects the disk backend; it conflicts with --index " +
+          kind);
+    }
+    kind = "disk";
+  }
+  if (kind != "memory" && kind != "disk" && kind != "ivf") {
+    return rpq::Status::InvalidArgument("unknown --index: " + kind +
+                                        " (memory|disk|ivf)");
+  }
+  rpq::refine::RerankMode rmode = rpq::refine::RerankMode::kAuto;
+  RPQ_RETURN_NOT_OK(GetRerankMode(flags, &rmode));
+  // The sharded deployment builds plain ADC memory shards; flags it cannot
+  // honor must fail loudly, not silently benchmark something else.
+  // (--mode adc is what it serves anyway, so an explicit request passes.)
+  b->shards = std::max<size_t>(flags.GetSize("shards", 1), 1);
+  if (b->shards > 1 &&
+      (kind != "memory" || std::string(flags.Get("mode", "adc")) != "adc" ||
+       flags.Has("rerank") || flags.Has("rerank-mode") ||
+       flags.Has("store-vectors"))) {
+    return rpq::Status::InvalidArgument(
+        "--shards > 1 serves plain ADC memory shards; --index disk|ivf, "
+        "--mode sdc|fastscan, --rerank, --rerank-mode, and --store-vectors "
+        "are not supported there");
+  }
+  if (const char* mpath = flags.Get("model")) {
+    auto loaded = rpq::quant::LoadQuantizer(mpath);
+    if (!loaded.ok()) return loaded.status();
+    b->model = std::move(loaded.value());
+  }
+  // The IVF flow may train its model in-process; every other backend needs
+  // --model.
+  if (b->model == nullptr && kind != "ivf") {
+    return rpq::Status::InvalidArgument("--model is required");
+  }
+  // The per-query knob: nprobe for IVF, the beam width otherwise.
+  b->width = kind == "ivf" ? flags.GetSize("nprobe", 8)
+                           : flags.GetSize("beam", 64);
+  // One index over --graph: the memory and disk backends (the sharded
+  // deployment builds its own per-shard graphs).
+  if (kind != "ivf" && b->shards == 1) {
+    const char* gpath = flags.Get("graph");
+    if (gpath == nullptr) {
+      return rpq::Status::InvalidArgument(
+          "--graph is required (unless --shards > 1)");
+    }
+    auto g = rpq::graph::ProximityGraph::Load(gpath);
+    if (!g.ok()) return g.status();
+    b->graph = std::move(g.value());
+  }
+
+  if (kind == "ivf") {
+    rpq::Timer build;
+    if (const char* path = flags.Get("ivf")) {
+      if (b->model == nullptr) {
+        return rpq::Status::InvalidArgument(
+            "--ivf needs --model (the quantizer the index was built with)");
+      }
+      auto loaded = rpq::ivf::IvfIndex::Load(path, *b->model);
+      if (!loaded.ok()) return loaded.status();
+      b->ivf_index = std::move(loaded.value());
+    } else {
+      RPQ_RETURN_NOT_OK(BuildIvfIndex(flags, base, rmode, b.get()));
+    }
+    // Linkcode and exact-without-rows, checked against the index served.
+    RPQ_RETURN_NOT_OK(CheckIvfRerankMode(rmode, b->ivf_index.get()));
+    std::printf("built ivf index: %zu lists, %zu vectors in %.1fs (%.1f MB)\n",
+                b->ivf_index->nlist(), b->ivf_index->size(),
+                build.ElapsedSeconds(), b->ivf_index->MemoryBytes() / 1e6);
+    b->owned_service = std::make_unique<rpq::serve::IvfService>(
+        *b->ivf_index, flags.GetSize("rerank", 0), rmode);
+  } else if (b->shards > 1) {
+    rpq::graph::VamanaOptions vopt;
+    vopt.degree = flags.GetSize("degree", 32);
+    vopt.build_beam = flags.GetSize("build-beam", 64);
+    rpq::serve::ShardedOptions sopt;
+    sopt.parallel_shards = flags.Has("parallel-shards");
+    sopt.shard_timeout_us = flags.GetSize("shard-timeout-us", 0);
+    sopt.hedge_delay_us = flags.GetSize("hedge-us", 0);
+    sopt.injected_stall_us = flags.GetSize("stall-ms", 2) * 1000;
+    // Timeouts and hedging are properties of the parallel fan-out.
+    if (sopt.shard_timeout_us > 0 || sopt.hedge_delay_us > 0) {
+      sopt.parallel_shards = true;
+    }
+    rpq::Timer build;
+    b->sharded = rpq::serve::BuildShardedMemoryIndex(base, *b->model,
+                                                     b->shards, vopt, sopt);
+    std::printf("built %zu shards in %.1fs (%.1f MB resident%s)\n",
+                b->sharded.shards.size(), build.ElapsedSeconds(),
+                b->sharded.MemoryBytes() / 1e6,
+                sopt.parallel_shards ? ", parallel fan-out" : "");
+  } else if (kind == "disk") {
+    // The disk backend's exact-on-fetch rerank is inherent; any other
+    // requested stage is a flag error.
+    if (rmode != rpq::refine::RerankMode::kAuto &&
+        rmode != rpq::refine::RerankMode::kExact) {
+      return rpq::Status::InvalidArgument(
+          "the disk backend reranks every fetched vector exactly; "
+          "--rerank-mode " +
+          std::string(rpq::refine::RerankModeName(rmode)) + " does not apply");
+    }
+    rpq::disk::DiskIndexOptions dopt;
+    dopt.ssd.transient_error_rate = flags.GetDouble("disk-error-rate", 0);
+    dopt.ssd.latency_spike_rate = flags.GetDouble("disk-spike-rate", 0);
+    dopt.ssd.fault_seed = flags.GetSize("fault-seed", 1);
+    dopt.ssd.queue_depth = flags.GetSize("queue-depth", dopt.ssd.queue_depth);
+    dopt.io_width = flags.GetSize("io-width", dopt.io_width);
+    dopt.readahead = flags.GetSize("readahead", dopt.readahead);
+    b->disk_index =
+        rpq::disk::DiskIndex::Build(base, b->graph, *b->model, dopt);
+    b->owned_service =
+        std::make_unique<rpq::serve::DiskIndexService>(*b->disk_index);
+  } else {
+    RPQ_RETURN_NOT_OK(MakeMemoryBackend(flags, base, rmode, b.get()));
+  }
+  b->service = b->shards > 1 ? b->sharded.service.get()
+                             : b->owned_service.get();
+  return b;
 }
 
 std::vector<std::string> ParseStringList(const char* s) {
@@ -644,46 +755,30 @@ std::vector<std::string> ParseStringList(const char* s) {
 }
 
 // Accumulates --trace output across the search replay: per-query lines for
-// the first few queries, totals for the whole run. Shared by the three
-// backends, but each names its own stat columns — the graph backends report
-// hops / distance evals / visited-table hits, while the IVF backend reports
-// lists probed / codes scanned (a nullptr label drops the column entirely),
-// so the printout no longer overloads graph terms for flat-scan stats.
+// the first few queries, totals for the whole run. The stat columns are a
+// query's graph::SearchStats; the graph backends report hops / distance
+// evals / visited-table hits, while IvfService carries lists probed / codes
+// scanned in the first two (a nullptr label drops the column entirely), so
+// the printout does not overload graph terms for flat-scan stats.
 struct TraceAccumulator {
   static constexpr size_t kPerQueryLines = 8;
-  static constexpr size_t kStatColumns = 4;
+  static constexpr size_t kStatColumns = 3;
 
-  // Column labels; the graph default matches SearchStats' field names. The
-  // fourth column is nullptr (dropped) except for the disk backend, which
-  // reports injected latency spikes next to its traversal stats.
-  const char* labels[kStatColumns] = {"hops", "dist", "visited-hits", nullptr};
+  std::array<const char*, kStatColumns> labels = {"hops", "dist",
+                                                  "visited-hits"};
 
   rpq::obs::QueryTrace totals;
-  size_t stats[kStatColumns] = {0, 0, 0, 0};
+  size_t stats[kStatColumns] = {0, 0, 0};
   size_t queries = 0;
   std::vector<std::string> lines;
 
-  static TraceAccumulator ForIvf() {
-    TraceAccumulator t;
-    t.labels[0] = "lists-probed";
-    t.labels[1] = "codes-scanned";
-    t.labels[2] = nullptr;  // IVF has no visited table
-    return t;
-  }
-
-  static TraceAccumulator ForDisk() {
-    TraceAccumulator t;
-    t.labels[3] = "spikes";
-    return t;
-  }
-
-  void Note(size_t q, const rpq::obs::QueryTrace& trace, size_t s0, size_t s1,
-            size_t s2, size_t s3 = 0) {
+  void Note(size_t q, const rpq::obs::QueryTrace& trace,
+            const rpq::graph::SearchStats& s) {
     ++queries;
-    const size_t row[kStatColumns] = {s0, s1, s2, s3};
+    const size_t row[kStatColumns] = {s.hops, s.dist_comps, s.visited_hits};
     for (size_t c = 0; c < kStatColumns; ++c) stats[c] += row[c];
-    for (size_t s = 0; s < rpq::obs::kNumStages; ++s) {
-      const auto stage = static_cast<rpq::obs::Stage>(s);
+    for (size_t st = 0; st < rpq::obs::kNumStages; ++st) {
+      const auto stage = static_cast<rpq::obs::Stage>(st);
       const auto& t = trace.total(stage);
       if (t.spans > 0) totals.AddSpan(stage, t.nanos);
     }
@@ -718,6 +813,69 @@ struct TraceAccumulator {
   }
 };
 
+// The disk I/O counters the replay's per-query breakdown reports — the same
+// names /metrics exports.
+bool IsDiskIoCounter(const std::string& name) {
+  return name == "disk.block_reads" || name == "disk.io_waves" ||
+         name == "disk.latency_spikes" || name.rfind("disk.prefetch_", 0) == 0;
+}
+
+struct Replay {
+  std::vector<std::vector<rpq::Neighbor>> results;
+  double seconds = 0;  ///< wall time of the query loop alone
+};
+
+// Serial replay of every query through the backend's SearchService: the
+// timed loop of search and the recall line of serve-bench. With `trace` set,
+// each query carries an obs::QueryTrace that is noted into it. The disk
+// backend's simulated device time per query is printed on its own
+// `disk-io us/query` line (wall-clock QPS excludes it; bench/run_serve.sh
+// parses the line). With the registry on, the per-query mean of every disk
+// I/O counter that moved during the replay is printed from a diff of
+// snapshots taken around it.
+Replay ReplayQueries(const Backend& b, const Dataset& queries, size_t k,
+                     TraceAccumulator* trace) {
+  Replay out;
+  out.results.resize(queries.size());
+  const bool registry = rpq::obs::MetricsEnabled();
+  const rpq::obs::Snapshot before =
+      registry ? rpq::obs::TakeSnapshot() : rpq::obs::Snapshot{};
+  double io_seconds = 0;
+  rpq::Timer timer;
+  for (size_t q = 0; q < queries.size(); ++q) {
+    // Registry only: each query's whole service call, stage.service_ns.
+    rpq::obs::ScopedStage span(rpq::obs::Stage::kService, nullptr);
+    rpq::obs::QueryTrace qtrace;
+    rpq::serve::QuerySpec spec{queries[q], k, b.width};
+    spec.trace = trace != nullptr ? &qtrace : nullptr;
+    rpq::serve::QueryResult r = b.service->Search(spec);
+    io_seconds += r.simulated_io_seconds;
+    if (trace != nullptr) trace->Note(q, qtrace, r.stats);
+    out.results[q] = std::move(r.results);
+  }
+  out.seconds = timer.ElapsedSeconds();
+
+  const double nq = std::max<double>(1.0, queries.size());
+  if (b.disk_index != nullptr) {
+    std::printf("disk-io us/query = %.1f (serial replay)\n",
+                io_seconds * 1e6 / nq);
+  }
+  if (registry) {
+    const rpq::obs::WindowedView moved = rpq::obs::DiffSnapshots(
+        before, rpq::obs::TakeSnapshot(), out.seconds);
+    std::string line;
+    for (const auto& c : moved.counters) {
+      if (c.delta == 0 || !IsDiskIoCounter(c.name)) continue;
+      char item[96];
+      std::snprintf(item, sizeof(item), "  %s %.1f", c.name.c_str(),
+                    c.delta / nq);
+      line += item;
+    }
+    if (!line.empty()) std::printf("disk-io per query:%s\n", line.c_str());
+  }
+  return out;
+}
+
 // "n1,n2,..." with every item a strict non-negative integer; empty on any
 // malformed item (the caller reports the flag).
 std::vector<size_t> ParseSizeList(const char* s) {
@@ -737,7 +895,7 @@ std::vector<size_t> ParseSizeList(const char* s) {
 }
 
 int CmdBuildIvf(const Flags& flags) {
-  auto base = LoadBase(flags);
+  auto base = LoadVectors(flags, "base");
   if (!base.ok()) return Fail(base.status().ToString());
   const char* mpath = flags.Get("model");
   const char* out = flags.Get("out");
@@ -747,226 +905,93 @@ int CmdBuildIvf(const Flags& flags) {
   // Validate up front: a typo'd --rerank-mode must not silently build an
   // index without the raw rows the intended exact stage needs.
   rpq::refine::RerankMode rmode = rpq::refine::RerankMode::kAuto;
-  if (!GetRerankMode(flags, &rmode)) {
-    return Fail("--rerank-mode must be adc, exact, or linkcode");
-  }
-  auto mode_ok = CheckIvfRerankMode(rmode, nullptr);
+  auto mode_ok = GetRerankMode(flags, &rmode);
   if (!mode_ok.ok()) return Fail(mode_ok.ToString());
   rpq::Timer timer;
-  std::unique_ptr<rpq::quant::PqQuantizer> model;
-  std::unique_ptr<rpq::ivf::IvfIndex> index;
-  const rpq::ivf::IvfOptions opt = IvfOptionsFrom(flags);
-  if (opt.residual) {
-    // Residual flow: coarse centroids first, then a model trained on the
-    // per-cell residuals; --model is the OUTPUT path for that model (search
-    // and serve-bench load it back next to --ivf).
-    std::vector<float> centroids =
-        rpq::ivf::IvfIndex::TrainCoarse(base.value(), opt);
-    auto trained = TrainResidualModel(base.value(), centroids, flags);
-    if (!trained.ok()) return Fail(trained.status().ToString());
-    model = std::move(trained.value());
-    index = rpq::ivf::IvfIndex::BuildWithCentroids(
-        base.value(), std::move(centroids), *model, opt);
-    auto ms = rpq::quant::SaveQuantizer(*model, mpath);
-    if (!ms.ok()) return Fail(ms.ToString());
-    std::printf("trained residual model (m=%zu, K=%zu%s), saved to %s\n",
-                model->num_chunks(), model->num_centroids(),
-                model->split_model() != nullptr ? ", split" : "", mpath);
-  } else {
+  // The residual flow trains its model from the per-cell residuals, so
+  // --model is the OUTPUT path for that model there (search and serve-bench
+  // load it back next to --ivf); the plain flow reads it.
+  const bool residual = flags.Has("residual");
+  Backend b;
+  if (!residual) {
     auto loaded = rpq::quant::LoadQuantizer(mpath);
     if (!loaded.ok()) return Fail(loaded.status().ToString());
-    model = std::move(loaded.value());
-    if (model->num_centroids() > 16 && model->split_model() == nullptr) {
-      return Fail("build-ivf needs a FastScan-capable model: 4-bit "
-                  "(--nbits 4) or split-trained K = 256 (train --split)");
-    }
-    index = rpq::ivf::IvfIndex::Build(base.value(), *model, opt);
+    b.model = std::move(loaded.value());
   }
+  auto built = BuildIvfIndex(flags, base.value(), rmode, &b);
+  if (!built.ok()) return Fail(built.ToString());
+  if (residual) {
+    auto ms = rpq::quant::SaveQuantizer(*b.model, mpath);
+    if (!ms.ok()) return Fail(ms.ToString());
+    std::printf("trained residual model (m=%zu, K=%zu%s), saved to %s\n",
+                b.model->num_chunks(), b.model->num_centroids(),
+                b.model->split_model() != nullptr ? ", split" : "", mpath);
+  }
+  const rpq::ivf::IvfIndex& index = *b.ivf_index;
   std::printf("ivf index: %zu lists over %zu vectors in %.1fs (%.1f MB)\n",
-              index->nlist(), index->size(), timer.ElapsedSeconds(),
-              index->MemoryBytes() / 1e6);
-  auto s = index->Save(out);
+              index.nlist(), index.size(), timer.ElapsedSeconds(),
+              index.MemoryBytes() / 1e6);
+  auto s = index.Save(out);
   if (!s.ok()) return Fail(s.ToString());
   std::printf("saved to %s\n", out);
   return 0;
 }
 
 int CmdSearch(const Flags& flags) {
-  auto base = LoadBase(flags);
+  auto base = LoadVectors(flags, "base");
   if (!base.ok()) return Fail(base.status().ToString());
-  std::string index_kind = flags.Get("index", "graph");
-  if (index_kind == "memory") index_kind = "graph";  // alias
-  const bool use_ivf = index_kind == "ivf";
-  const bool use_disk = index_kind == "disk" || flags.Has("hybrid");
-  if (!use_ivf && !use_disk && index_kind != "graph") {
-    return Fail("unknown --index: " + index_kind + " (memory|disk|ivf)");
-  }
-  rpq::refine::RerankMode rmode = rpq::refine::RerankMode::kAuto;
-  if (!GetRerankMode(flags, &rmode)) {
-    return Fail("--rerank-mode must be adc, exact, or linkcode");
-  }
-  const char* gpath = flags.Get("graph");
-  const char* mpath = flags.Get("model");
-  const char* qpath = flags.Get("queries");
-  // The IVF backend resolves --model itself (the --residual flow can train
-  // one in-process); the graph backends always need it loaded here.
-  if (qpath == nullptr || (!use_ivf && (mpath == nullptr || gpath == nullptr))) {
-    return Fail(use_ivf ? "--queries is required"
-                        : "--graph, --model, --queries are required");
-  }
-  rpq::graph::ProximityGraph graph;
-  std::unique_ptr<rpq::quant::PqQuantizer> model;
-  if (!use_ivf) {
-    auto g = rpq::graph::ProximityGraph::Load(gpath);
-    if (!g.ok()) return Fail(g.status().ToString());
-    graph = std::move(g.value());
-    auto loaded = rpq::quant::LoadQuantizer(mpath);
-    if (!loaded.ok()) return Fail(loaded.status().ToString());
-    model = std::move(loaded.value());
-  }
-  auto queries = rpq::io::ReadFvecs(qpath);
+  auto queries = LoadVectors(flags, "queries");
   if (!queries.ok()) return Fail(queries.status().ToString());
+  // The backend is built before the timed loop: the timer below covers the
+  // query replay only, never index construction.
+  auto made = MakeBackend(flags, base.value());
+  if (!made.ok()) return Fail(made.status().ToString());
+  const Backend& b = *made.value();
 
-  size_t k = flags.GetSize("k", 10);
-  size_t beam = flags.GetSize("beam", 64);
+  const size_t k = flags.GetSize("k", 10);
   auto gt = rpq::ComputeGroundTruth(base.value(), queries.value(), k);
 
-  // The IVF index is assembled (or loaded) before the timed loop, like the
-  // graph artifacts; --sweep-nprobe prints its recall/QPS curve first. The
-  // backend owns the quantizer the index borrows, so both live to the end.
-  std::unique_ptr<rpq::quant::PqQuantizer> ivf_model;
-  std::unique_ptr<rpq::ivf::IvfIndex> ivf_index;
-  rpq::ivf::IvfSearchOptions ivf_opt;
-  if (use_ivf) {
-    // Impossible stages are rejected before the (potentially expensive)
-    // index build; exact-needs-rows is re-checked against the built index.
-    auto mode_ok = CheckIvfRerankMode(rmode, nullptr);
-    if (!mode_ok.ok()) return Fail(mode_ok.ToString());
-    auto made = MakeIvfBackend(flags, base.value());
-    if (!made.ok()) return Fail(made.status().ToString());
-    ivf_model = std::move(made.value().model);
-    ivf_index = std::move(made.value().index);
-    mode_ok = CheckIvfRerankMode(rmode, ivf_index.get());
-    if (!mode_ok.ok()) return Fail(mode_ok.ToString());
-    ivf_opt.nprobe = flags.GetSize("nprobe", 0);
-    ivf_opt.rerank = flags.GetSize("rerank", 0);
-    ivf_opt.rerank_mode = rmode;
-    if (const char* sweep = flags.Get("sweep-nprobe")) {
-      auto nprobes = ParseSizeList(sweep);
-      if (nprobes.empty()) return Fail("--sweep-nprobe expects n1,n2,...");
-      const rpq::ivf::IvfIndex& ix = *ivf_index;
-      // The sweep axis is nprobe; the refinement request rides inside the
-      // closure so every operating point reranks the same way.
-      const rpq::ivf::IvfSearchOptions base_opt = ivf_opt;
-      rpq::eval::SearchFn fn = [&ix, base_opt](const float* q, size_t kk,
-                                               size_t nprobe) {
-        rpq::ivf::IvfSearchOptions opt = base_opt;
-        opt.nprobe = nprobe;
-        rpq::eval::SearchOutcome out;
-        auto res = ix.Search(q, kk, opt);
-        out.results = std::move(res.results);
-        out.hops = res.stats.lists_probed;
-        return out;
-      };
-      auto curve = rpq::eval::SweepNprobe(fn, queries.value(), gt, k, nprobes);
-      rpq::eval::PrintCurve("ivf", curve);
-      if (const char* csv = flags.Get("sweep-csv")) {
-        auto s = rpq::eval::WriteCurveCsv(csv, "nprobe", curve);
-        if (!s.ok()) return Fail(s.ToString());
-        std::printf("wrote sweep CSV to %s\n", csv);
-      }
+  // --sweep-nprobe prints the IVF recall/QPS curve through the same service;
+  // its refinement defaults ride inside the service, so every operating
+  // point reranks the same way.
+  if (const char* sweep = flags.Get("sweep-nprobe");
+      sweep != nullptr && b.ivf_index != nullptr) {
+    auto nprobes = ParseSizeList(sweep);
+    if (nprobes.empty()) return Fail("--sweep-nprobe expects n1,n2,...");
+    rpq::eval::SearchFn fn = [&b](const float* q, size_t kk, size_t nprobe) {
+      rpq::serve::QueryResult r = b.service->Search({q, kk, nprobe});
+      rpq::eval::SearchOutcome out;
+      out.results = std::move(r.results);
+      out.hops = r.stats.hops;  // lists probed
+      return out;
+    };
+    auto curve = rpq::eval::SweepNprobe(fn, queries.value(), gt, k, nprobes);
+    rpq::eval::PrintCurve("ivf", curve);
+    if (const char* csv = flags.Get("sweep-csv")) {
+      auto s = rpq::eval::WriteCurveCsv(csv, "nprobe", curve);
+      if (!s.ok()) return Fail(s.ToString());
+      std::printf("wrote sweep CSV to %s\n", csv);
     }
   }
 
   // --trace: thread a per-query obs::QueryTrace through the backend (also
-  // enabling the registry so the stage histograms fill) and print the
-  // per-stage breakdown + search stats after the replay. The trace lines are
-  // accumulated inside the timed loop, so the QPS on a traced run includes
-  // the (small) tracing overhead — it measures what it ran.
+  // enabling the registry so the stage histograms fill and the disk I/O
+  // breakdown prints) and print the per-stage breakdown + search stats after
+  // the replay. The trace lines are accumulated inside the timed loop, so
+  // the QPS on a traced run includes the (small) tracing overhead — it
+  // measures what it ran.
   const bool trace_on = flags.Has("trace");
   if (trace_on) rpq::obs::SetMetricsEnabled(true);
-  TraceAccumulator tacc = use_ivf    ? TraceAccumulator::ForIvf()
-                          : use_disk ? TraceAccumulator::ForDisk()
-                                     : TraceAccumulator{};
-
-  // Graph backends are built here, like the IVF one above: the timer below
-  // covers the query replay only, never index construction.
-  std::unique_ptr<rpq::disk::DiskIndex> disk_index;
-  rpq::disk::DiskIndexOptions dopt;
-  MemoryBackend backend;
-  if (use_disk) {
-    auto mode_ok = CheckDiskRerankMode(rmode);
-    if (!mode_ok.ok()) return Fail(mode_ok.ToString());
-    dopt.ssd.queue_depth = flags.GetSize("queue-depth", dopt.ssd.queue_depth);
-    dopt.io_width = flags.GetSize("io-width", dopt.io_width);
-    dopt.readahead = flags.GetSize("readahead", dopt.readahead);
-    disk_index = rpq::disk::DiskIndex::Build(base.value(), graph, *model, dopt);
-  } else if (!use_ivf) {
-    auto made = MakeMemoryBackend(flags, base.value(), graph, *model, rmode);
-    if (!made.ok()) return Fail(made.status().ToString());
-    backend = std::move(made.value());
+  TraceAccumulator tacc;
+  if (b.ivf_index != nullptr) {  // IVF has no visited table
+    tacc.labels = {"lists-probed", "codes-scanned", nullptr};
   }
-
-  std::vector<std::vector<rpq::Neighbor>> results(queries.value().size());
-  rpq::Timer timer;
-  if (use_ivf) {
-    for (size_t q = 0; q < queries.value().size(); ++q) {
-      rpq::obs::QueryTrace trace;
-      ivf_opt.trace = trace_on ? &trace : nullptr;
-      auto out = ivf_index->Search(queries.value()[q], k, ivf_opt);
-      results[q] = std::move(out.results);
-      if (trace_on) {
-        tacc.Note(q, trace, out.stats.lists_probed, out.stats.codes_scanned, 0);
-      }
-    }
-  } else if (use_disk) {
-    rpq::disk::IoStats io_total;
-    double io_seconds = 0;
-    for (size_t q = 0; q < queries.value().size(); ++q) {
-      rpq::obs::QueryTrace trace;
-      auto out = disk_index->Search(queries.value()[q], k, {beam, k},
-                                    trace_on ? &trace : nullptr);
-      results[q] = std::move(out.results);
-      io_seconds += out.io.simulated_seconds;
-      io_total.reads += out.io.reads;
-      io_total.io_waves += out.io.io_waves;
-      io_total.prefetch_issued += out.io.prefetch_issued;
-      io_total.prefetch_hits += out.io.prefetch_hits;
-      io_total.prefetch_wasted += out.io.prefetch_wasted;
-      if (trace_on) {
-        tacc.Note(q, trace, out.stats.hops, out.stats.dist_comps,
-                  out.stats.visited_hits, out.io.latency_spikes);
-      }
-    }
-    const double nq = std::max<double>(1.0, queries.value().size());
-    std::printf(
-        "disk-io us/query = %.1f (qd %zu, io-width %zu, readahead %zu; "
-        "%.1f reads/q, %.1f waves/q, prefetch %zu issued / %zu hits / "
-        "%zu wasted)\n",
-        io_seconds * 1e6 / nq, dopt.ssd.queue_depth, dopt.io_width,
-        dopt.readahead, io_total.reads / nq, io_total.io_waves / nq,
-        io_total.prefetch_issued, io_total.prefetch_hits,
-        io_total.prefetch_wasted);
-  } else {
-    for (size_t q = 0; q < queries.value().size(); ++q) {
-      rpq::obs::QueryTrace trace;
-      auto out = backend.index->Search(queries.value()[q], k, {beam, k},
-                                       backend.mode, {},
-                                       trace_on ? &trace : nullptr);
-      results[q] = std::move(out.results);
-      if (trace_on) {
-        tacc.Note(q, trace, out.stats.hops, out.stats.dist_comps,
-                  out.stats.visited_hits);
-      }
-    }
-  }
-  // Wall-clock QPS of the replay. Simulated device time is not folded in:
-  // the disk backend reports it on its own `disk-io us/query` line.
-  const double wall = timer.ElapsedSeconds();
+  const Replay replay =
+      ReplayQueries(b, queries.value(), k, trace_on ? &tacc : nullptr);
   std::printf("queries: %zu  recall@%zu: %.4f  QPS: %.1f\n",
               queries.value().size(), k,
-              rpq::eval::MeanRecallAtK(results, gt, k),
-              queries.value().size() / std::max(wall, 1e-12));
+              rpq::eval::MeanRecallAtK(replay.results, gt, k),
+              queries.value().size() / std::max(replay.seconds, 1e-12));
   if (trace_on) tacc.Print();
 
   if (const char* dump = flags.Get("dump-top1")) {
@@ -977,11 +1002,11 @@ int CmdSearch(const Flags& flags) {
     // differ in the last ulps even when every ranking decision agrees.
     std::FILE* fp = std::fopen(dump, "w");
     if (fp == nullptr) return Fail(std::string("cannot write ") + dump);
-    for (size_t q = 0; q < results.size(); ++q) {
-      if (results[q].empty()) {
+    for (size_t q = 0; q < replay.results.size(); ++q) {
+      if (replay.results[q].empty()) {
         std::fprintf(fp, "%zu -\n", q);
       } else {
-        std::fprintf(fp, "%zu %u\n", q, results[q][0].id);
+        std::fprintf(fp, "%zu %u\n", q, replay.results[q][0].id);
       }
     }
     std::fclose(fp);
@@ -990,23 +1015,32 @@ int CmdSearch(const Flags& flags) {
   return 0;
 }
 
+// Writes `json` plus a trailing newline to `path`.
+rpq::Status WriteJsonFile(const char* path, const std::string& json) {
+  std::FILE* fp = std::fopen(path, "w");
+  if (fp == nullptr) {
+    return rpq::Status::IOError(std::string("cannot write ") + path);
+  }
+  std::fwrite(json.data(), 1, json.size(), fp);
+  std::fputc('\n', fp);
+  if (std::fclose(fp) != 0) {
+    return rpq::Status::IOError(std::string(path) + ": close failed");
+  }
+  return rpq::Status::OK();
+}
+
 int CmdServeBench(const Flags& flags) {
-  auto base = LoadBase(flags);
+  auto base = LoadVectors(flags, "base");
   if (!base.ok()) return Fail(base.status().ToString());
-  const char* mpath = flags.Get("model");
-  const char* qpath = flags.Get("queries");
-  if (qpath == nullptr) return Fail("--queries is required");
-  auto queries = rpq::io::ReadFvecs(qpath);
+  auto queries = LoadVectors(flags, "queries");
   if (!queries.ok()) return Fail(queries.status().ToString());
 
   rpq::serve::LoadgenOptions opt;
   opt.k = flags.GetSize("k", 10);
-  opt.beam_width = flags.GetSize("beam", 64);
   opt.threads = flags.GetSize("threads", 4);
   opt.total_queries = flags.GetSize("total", 0);
   opt.batch = flags.GetSize("batch", 0);  // open-loop leg only
   opt.deadline_us = flags.GetSize("deadline-us", 0);
-  const size_t shards = flags.GetSize("shards", 1);
   const double rate = flags.GetDouble("rate", 0);
   // --metrics-json turns the registry on for the whole run (index build
   // included) and writes the snapshot at the end.
@@ -1060,154 +1094,20 @@ int CmdServeBench(const Flags& flags) {
     }
     if (have_plan) rpq::fault::SetGlobalPlan(plan);
   }
-  rpq::refine::RerankMode rmode = rpq::refine::RerankMode::kAuto;
-  if (!GetRerankMode(flags, &rmode)) {
-    return Fail("--rerank-mode must be adc, exact, or linkcode");
-  }
 
-  // Assemble the backend: IVF flat-scan, sharded in-memory, hybrid disk, or
-  // single-shard in-memory over a prebuilt graph. --rerank/--rerank-mode
-  // configure the refinement pipeline uniformly across memory|disk|ivf (the
-  // disk backend's exact-on-fetch rerank is inherent, so they are no-ops
-  // there).
-  // Declaration order is destruction order in reverse, and it matters: the
-  // sharded deployment's destructor drains abandoned fan-out tasks that may
-  // still touch the shard backends AND what those borrow (the quantizer, the
-  // graph, the base rows) — so everything borrowed is declared BEFORE the
-  // service objects, outliving them.
-  std::unique_ptr<rpq::quant::PqQuantizer> model;
-  rpq::graph::ProximityGraph graph;
-  std::unique_ptr<rpq::core::MemoryIndex> mem_index;
-  std::unique_ptr<rpq::quant::LinkCodeIndex> linkcode;
-  std::unique_ptr<rpq::disk::DiskIndex> disk_index;
-  std::unique_ptr<rpq::quant::PqQuantizer> ivf_model;
-  std::unique_ptr<rpq::ivf::IvfIndex> ivf_index;
-  std::unique_ptr<rpq::serve::SearchService> owned_service;
-  rpq::serve::ShardedMemoryIndex sharded;
-  const rpq::serve::SearchService* service = nullptr;
-
-  std::string index_kind = flags.Get("index", "graph");
-  if (index_kind == "memory") index_kind = "graph";  // alias
-  const bool use_disk = index_kind == "disk" || flags.Has("hybrid");
-  if (use_disk) index_kind = "graph";
-
-  // Graph backends always need the model loaded here; the IVF backend
-  // resolves --model itself (--residual can train one in-process).
-  if (index_kind != "ivf") {
-    if (mpath == nullptr) return Fail("--model and --queries are required");
-    auto loaded = rpq::quant::LoadQuantizer(mpath);
-    if (!loaded.ok()) return Fail(loaded.status().ToString());
-    model = std::move(loaded.value());
-  }
-  // The sharded deployment builds plain ADC memory shards; flags it cannot
-  // honor must fail loudly, not silently benchmark something else.
-  // (--mode adc is what it serves anyway, so an explicit request passes.)
-  const std::string shard_mode = flags.Get("mode", "adc");
-  if (shards > 1 && index_kind == "graph" &&
-      (use_disk || shard_mode != "adc" || flags.Has("rerank") ||
-       flags.Has("rerank-mode") || flags.Has("store-vectors"))) {
-    return Fail("--shards > 1 serves plain ADC memory shards; --index disk, "
-                "--mode sdc|fastscan, --rerank, --rerank-mode, and "
-                "--store-vectors are not supported there");
-  }
-  if (index_kind == "ivf") {
-    // Impossible stages are rejected before the (potentially expensive)
-    // index build; exact-needs-rows is re-checked against the built index.
-    auto mode_ok = CheckIvfRerankMode(rmode, nullptr);
-    if (!mode_ok.ok()) return Fail(mode_ok.ToString());
-    rpq::Timer build;
-    auto made = MakeIvfBackend(flags, base.value());
-    if (!made.ok()) return Fail(made.status().ToString());
-    ivf_model = std::move(made.value().model);
-    ivf_index = std::move(made.value().index);
-    mode_ok = CheckIvfRerankMode(rmode, ivf_index.get());
-    if (!mode_ok.ok()) return Fail(mode_ok.ToString());
-    // For IVF backends the QuerySpec beam_width slot carries nprobe.
-    opt.beam_width = flags.GetSize("nprobe", 8);
-    std::printf("built ivf index: %zu lists, %zu vectors in %.1fs (%.1f MB)\n",
-                ivf_index->nlist(), ivf_index->size(), build.ElapsedSeconds(),
-                ivf_index->MemoryBytes() / 1e6);
-    owned_service = std::make_unique<rpq::serve::IvfService>(
-        *ivf_index, flags.GetSize("rerank", 0), rmode);
-    service = owned_service.get();
-  } else if (shards > 1) {
-    rpq::graph::VamanaOptions vopt;
-    vopt.degree = flags.GetSize("degree", 32);
-    vopt.build_beam = flags.GetSize("build-beam", 64);
-    rpq::serve::ShardedOptions sopt;
-    sopt.parallel_shards = flags.Has("parallel-shards");
-    sopt.shard_timeout_us = flags.GetSize("shard-timeout-us", 0);
-    sopt.hedge_delay_us = flags.GetSize("hedge-us", 0);
-    sopt.injected_stall_us = flags.GetSize("stall-ms", 2) * 1000;
-    // Timeouts and hedging are properties of the parallel fan-out.
-    if (sopt.shard_timeout_us > 0 || sopt.hedge_delay_us > 0) {
-      sopt.parallel_shards = true;
-    }
-    rpq::Timer build;
-    sharded = rpq::serve::BuildShardedMemoryIndex(base.value(), *model,
-                                                  shards, vopt, sopt);
-    std::printf("built %zu shards in %.1fs (%.1f MB resident%s)\n",
-                sharded.shards.size(), build.ElapsedSeconds(),
-                sharded.MemoryBytes() / 1e6,
-                sopt.parallel_shards ? ", parallel fan-out" : "");
-    service = sharded.service.get();
-  } else {
-    const char* gpath = flags.Get("graph");
-    if (gpath == nullptr) return Fail("--graph is required when --shards 1");
-    auto g = rpq::graph::ProximityGraph::Load(gpath);
-    if (!g.ok()) return Fail(g.status().ToString());
-    graph = std::move(g.value());
-    if (use_disk) {
-      auto mode_ok = CheckDiskRerankMode(rmode);
-      if (!mode_ok.ok()) return Fail(mode_ok.ToString());
-      rpq::disk::DiskIndexOptions dopt;
-      dopt.ssd.transient_error_rate =
-          flags.GetDouble("disk-error-rate", 0);
-      dopt.ssd.latency_spike_rate =
-          flags.GetDouble("disk-spike-rate", 0);
-      dopt.ssd.fault_seed = flags.GetSize("fault-seed", 1);
-      dopt.ssd.queue_depth = flags.GetSize("queue-depth", dopt.ssd.queue_depth);
-      dopt.io_width = flags.GetSize("io-width", dopt.io_width);
-      dopt.readahead = flags.GetSize("readahead", dopt.readahead);
-      disk_index =
-          rpq::disk::DiskIndex::Build(base.value(), graph, *model, dopt);
-      owned_service =
-          std::make_unique<rpq::serve::DiskIndexService>(*disk_index);
-    } else {
-      auto made = MakeMemoryBackend(flags, base.value(), graph, *model, rmode);
-      if (!made.ok()) return Fail(made.status().ToString());
-      MemoryBackend backend = std::move(made.value());
-      mem_index = std::move(backend.index);
-      linkcode = std::move(backend.linkcode);
-      owned_service = std::make_unique<rpq::serve::MemoryIndexService>(
-          *mem_index, backend.mode);
-    }
-    service = owned_service.get();
-  }
+  auto made = MakeBackend(flags, base.value());
+  if (!made.ok()) return Fail(made.status().ToString());
+  const Backend& b = *made.value();
+  opt.beam_width = b.width;
 
   // Recall sanity line (serial replay, k results against exact GT).
   auto gt = rpq::ComputeGroundTruth(base.value(), queries.value(), opt.k);
-  rpq::serve::ServingEngine serial(*service, {1});
-  auto outcomes = serial.SearchAll(queries.value(), opt.k, opt.beam_width);
-  std::vector<std::vector<rpq::Neighbor>> results(outcomes.size());
-  for (size_t q = 0; q < outcomes.size(); ++q) {
-    results[q] = std::move(outcomes[q].results);
-  }
+  const Replay replay = ReplayQueries(b, queries.value(), opt.k, nullptr);
   std::printf("recall@%zu = %.4f (beam %zu, %zu shards)\n", opt.k,
-              rpq::eval::MeanRecallAtK(results, gt, opt.k), opt.beam_width,
-              std::max<size_t>(shards, 1));
-  if (use_disk && !outcomes.empty()) {
-    // Simulated device time per query from the serial replay — the honest
-    // "disk I/O" number (wall-clock QPS above excludes simulated latency).
-    // run_serve.sh parses this line into BENCH_serve.json so bench-diff
-    // gates the async-submission speedup per PR.
-    double io_sum = 0;
-    for (const auto& o : outcomes) io_sum += o.simulated_io_seconds;
-    std::printf("disk-io us/query = %.1f (serial replay)\n",
-                io_sum * 1e6 / static_cast<double>(outcomes.size()));
-  }
+              rpq::eval::MeanRecallAtK(replay.results, gt, opt.k),
+              opt.beam_width, b.shards);
 
-  auto closed = rpq::serve::RunClosedLoop(*service, queries.value(), opt);
+  auto closed = rpq::serve::RunClosedLoop(*b.service, queries.value(), opt);
   char label[64];
   std::snprintf(label, sizeof(label), "closed-loop x%zu", opt.threads);
   rpq::serve::PrintReport(label, closed);
@@ -1217,7 +1117,7 @@ int CmdServeBench(const Flags& flags) {
     eopt.threads = opt.threads;
     eopt.shed_watermark = flags.GetSize("shed", 0);
     eopt.brownout_watermark = flags.GetSize("brownout", 0);
-    rpq::serve::ServingEngine engine(*service, eopt);
+    rpq::serve::ServingEngine engine(*b.service, eopt);
     rpq::serve::LoadgenOptions oopt = opt;
     oopt.arrival_qps = rate;
     auto open = rpq::serve::RunOpenLoop(engine, queries.value(), oopt);
@@ -1228,7 +1128,7 @@ int CmdServeBench(const Flags& flags) {
 
   // Shard-wait distribution (fan-out start -> shard result available): the
   // histogram hedge_delay_us / shard_timeout_us should be tuned against.
-  if (rpq::obs::MetricsEnabled() && shards > 1) {
+  if (rpq::obs::MetricsEnabled() && b.shards > 1) {
     const rpq::obs::Snapshot snap = rpq::obs::TakeSnapshot();
     if (const rpq::obs::HistogramSnapshot* waits =
             snap.FindHistogram("serve.shard_wait_ns");
@@ -1254,29 +1154,16 @@ int CmdServeBench(const Flags& flags) {
   }
 
   if (metrics_json != nullptr) {
-    const std::string json = rpq::obs::DumpJson();
-    std::FILE* fp = std::fopen(metrics_json, "w");
-    if (fp == nullptr) {
-      return Fail(std::string("cannot write ") + metrics_json);
-    }
-    std::fwrite(json.data(), 1, json.size(), fp);
-    std::fputc('\n', fp);
-    if (std::fclose(fp) != 0) {
-      return Fail(std::string(metrics_json) + ": close failed");
-    }
+    auto s = WriteJsonFile(metrics_json, rpq::obs::DumpJson());
+    if (!s.ok()) return Fail(s.ToString());
     std::printf("wrote metrics snapshot to %s\n", metrics_json);
   }
   // --slow-json: the end-of-run flight-recorder dump, for offline checks
   // (CI verifies every deadline_exceeded query of a seeded run landed here).
   if (const char* slow_json = flags.Get("slow-json")) {
-    const std::string json = rpq::obs::GlobalFlightRecorder().DumpJson();
-    std::FILE* fp = std::fopen(slow_json, "w");
-    if (fp == nullptr) return Fail(std::string("cannot write ") + slow_json);
-    std::fwrite(json.data(), 1, json.size(), fp);
-    std::fputc('\n', fp);
-    if (std::fclose(fp) != 0) {
-      return Fail(std::string(slow_json) + ": close failed");
-    }
+    auto s = WriteJsonFile(slow_json,
+                           rpq::obs::GlobalFlightRecorder().DumpJson());
+    if (!s.ok()) return Fail(s.ToString());
     std::printf("wrote flight-recorder dump to %s\n", slow_json);
   }
   return 0;
