@@ -2,6 +2,7 @@
 
 #include "common/file_io.h"
 
+#include <cmath>
 #include <cstdio>
 #include <memory>
 
@@ -20,9 +21,21 @@ Result<Dataset> ReadFvecs(const std::string& path, size_t max_records) {
     if (dim <= 0 || dim > (1 << 20)) {
       return Status::IOError(path + ": bad record dimension " + std::to_string(dim));
     }
+    if (out.size() > 0 && static_cast<size_t>(dim) != out.dim()) {
+      return Status::IOError(path + ": record " + std::to_string(out.size()) +
+                             " has dimension " + std::to_string(dim) +
+                             ", earlier records " + std::to_string(out.dim()));
+    }
     buf.resize(static_cast<size_t>(dim));
     if (std::fread(buf.data(), sizeof(float), buf.size(), f.get()) != buf.size()) {
       return Status::IOError(path + ": truncated record");
+    }
+    // A NaN or Inf coordinate makes every distance to the row meaningless.
+    for (const float v : buf) {
+      if (!std::isfinite(v)) {
+        return Status::IOError(path + ": record " + std::to_string(out.size()) +
+                               " holds a non-finite value");
+      }
     }
     out.Append(buf.data(), buf.size());
     if (max_records != 0 && ++count >= max_records) break;

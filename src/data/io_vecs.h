@@ -13,7 +13,9 @@
 namespace rpq::io {
 
 /// Reads an .fvecs file: each record is int32 dim followed by dim floats.
-/// max_records == 0 reads everything.
+/// max_records == 0 reads everything. A record holding NaN or Inf, or whose
+/// dimension differs from the first record's, is an IOError that names the
+/// record's index.
 Result<Dataset> ReadFvecs(const std::string& path, size_t max_records = 0);
 
 /// Writes a dataset as .fvecs.

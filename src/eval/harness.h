@@ -82,7 +82,7 @@ void PrintCurve(const std::string& method, const std::vector<OperatingPoint>& cu
 /// `<knob>,recall@10,us_per_query` then one row per operating point, where
 /// the knob column carries OperatingPoint.beam under the caller's name
 /// ("nprobe" for IVF sweeps) and us_per_query = 1e6 / qps. The format feeds
-/// the checked-in BENCH_ivf.json comparisons and external plotting without
+/// recorded curves such as BENCH_ivf.json and external plotting without
 /// scraping the aligned-column output.
 Status WriteCurveCsv(const std::string& path, const std::string& knob,
                      const std::vector<OperatingPoint>& curve);

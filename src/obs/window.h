@@ -77,7 +77,7 @@ struct ServingWindow {
 ServingWindow SummarizeServing(const WindowedView& view);
 
 /// Reconstructs a Snapshot from a parsed DumpJson (v1) document, buckets
-/// included, so offline tooling (metrics-validate --diff, bench-diff) can
+/// included, so offline tooling (metrics-validate --diff) can
 /// window two saved snapshots exactly like the live exporter does.
 bool SnapshotFromJson(const JsonValue& root, Snapshot* out, std::string* error);
 

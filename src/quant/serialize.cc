@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <initializer_list>
 #include <memory>
 
 #include "common/file_io.h"
@@ -34,6 +35,24 @@ using io::WriteAll;
 
 Status CorruptError(const std::string& path) {
   return Status::IOError(path + ": checksum mismatch (corrupt or torn file)");
+}
+
+// Bounds the float arrays a header declares by what is left of the file,
+// before any of them is allocated: a corrupt shape field must come back as a
+// Status, not as a huge allocation. Each array is checked on its own, so no
+// sum of sizes can wrap.
+Status CheckPayload(std::FILE* f, const std::string& path,
+                    std::initializer_list<uint64_t> float_counts) {
+  const long long bytes_left = io::BytesRemaining(f);
+  if (bytes_left < 0) return Status::IOError(path + ": cannot size file");
+  uint64_t floats_left = static_cast<uint64_t>(bytes_left) / sizeof(float);
+  for (const uint64_t n : float_counts) {
+    if (n > floats_left) {
+      return Status::IOError(path + ": header sizes exceed file contents");
+    }
+    floats_left -= n;
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -110,6 +129,9 @@ Result<std::unique_ptr<PqQuantizer>> LoadQuantizer(const std::string& path) {
     if (has_split == 0 || has_rot != 0 || k != 256) {
       return Status::IOError(path + ": invalid split model header");
     }
+    // Levels A and B: m x 16 centroids of dim / m floats each.
+    RPQ_RETURN_NOT_OK(
+        CheckPayload(f.get(), path, {uint64_t{16} * dim, uint64_t{16} * dim}));
     Codebook a(m, 16, dim / m);
     Codebook b(m, 16, dim / m);
     if (!r.Read(a.data(), a.num_floats() * sizeof(float)) ||
@@ -119,6 +141,9 @@ Result<std::unique_ptr<PqQuantizer>> LoadQuantizer(const std::string& path) {
     if (checked && !r.VerifyTrailer()) return CorruptError(path);
     return MakeSplitQuantizer(std::move(a), std::move(b));
   }
+  RPQ_RETURN_NOT_OK(CheckPayload(
+      f.get(), path,
+      {uint64_t{k} * dim, has_rot != 0 ? uint64_t{dim} * dim : 0}));
   Codebook book(m, k, dim / m);
   if (!r.Read(book.data(), book.num_floats() * sizeof(float))) {
     return Status::IOError(path + ": truncated codebook");

@@ -61,6 +61,45 @@ TEST(IoVecsTest, FvecsMaxRecords) {
   std::remove(path.c_str());
 }
 
+TEST(IoVecsTest, FvecsRejectsNonFiniteRecord) {
+  Dataset d = synthetic::MakeSiftLike(10, 3);
+  d[4][7] = std::nanf("");
+  std::string path = ::testing::TempDir() + "/nan.fvecs";
+  ASSERT_TRUE(io::WriteFvecs(path, d).ok());
+  auto r = io::ReadFvecs(path);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kIOError);
+  EXPECT_NE(r.status().message().find("record 4"), std::string::npos)
+      << r.status().ToString();
+  // Inf is rejected the same way; the records before it still read.
+  d[4][7] = 1.f;
+  d[6][0] = -INFINITY;
+  ASSERT_TRUE(io::WriteFvecs(path, d).ok());
+  r = io::ReadFvecs(path);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("record 6"), std::string::npos);
+  EXPECT_TRUE(io::ReadFvecs(path, 6).ok());
+  std::remove(path.c_str());
+}
+
+TEST(IoVecsTest, FvecsRejectsMixedDimensions) {
+  std::string path = ::testing::TempDir() + "/mixed.fvecs";
+  ASSERT_TRUE(io::WriteFvecs(path, synthetic::MakeSiftLike(3, 4)).ok());
+  Dataset narrow(1, 8);
+  std::FILE* f = std::fopen(path.c_str(), "ab");
+  ASSERT_NE(f, nullptr);
+  const int32_t dim = 8;
+  std::fwrite(&dim, sizeof(dim), 1, f);
+  std::fwrite(narrow[0], sizeof(float), 8, f);
+  std::fclose(f);
+  auto r = io::ReadFvecs(path);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kIOError);
+  EXPECT_NE(r.status().message().find("record 3"), std::string::npos)
+      << r.status().ToString();
+  std::remove(path.c_str());
+}
+
 TEST(IoVecsTest, MissingFileIsIoError) {
   auto r = io::ReadFvecs("/nonexistent/file.fvecs");
   ASSERT_FALSE(r.ok());

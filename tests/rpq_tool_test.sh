@@ -3,8 +3,9 @@
 # fixture, `search` and `serve-bench --threads 1` must report the same
 # recall@10 for every backend configuration (both commands build their
 # backend through one builder and replay the queries serially through the
-# same SearchService), and flag conflicts the builder cannot honour must
-# exit non-zero instead of serving something else.
+# same SearchService), and flag conflicts the builder cannot honour, flags
+# a command does not read, and corrupt input files must exit non-zero
+# instead of serving something else.
 #
 # Usage: tests/rpq_tool_test.sh <path/to/rpq_tool>
 # (registered with ctest as rpq_tool_test).
@@ -53,12 +54,14 @@ check_same_recall() {
   fi
 }
 
-# The command must exit non-zero and say why on stderr.
+# The command must exit 1 (an error, not a crash or abort) and say why on
+# stderr.
 check_rejected() {
   local name="$1" pattern="$2"; shift 2
-  local err
-  if err="$("$TOOL" "$@" 2>&1 >/dev/null)"; then
-    echo "FAIL $name: exited 0"
+  local err rc=0
+  err="$("$TOOL" "$@" 2>&1 >/dev/null)" || rc=$?
+  if [[ "$rc" -ne 1 ]]; then
+    echo "FAIL $name: exited $rc (want 1): $err"
     failures=$((failures + 1))
   elif ! grep -q -- "$pattern" <<<"$err"; then
     echo "FAIL $name: error '$err' does not mention '$pattern'"
@@ -85,6 +88,30 @@ check_rejected hybrid-ivf "hybrid" search "${COMMON[@]}" \
 check_rejected hybrid-ivf-serve "hybrid" serve-bench "${COMMON[@]}" \
   --model "$WORK/pq4.rpqq" --index ivf --nlist 16 --hybrid \
   --threads 1 --total 50
+
+# Every command accepts only the flags it reads: a typo'd knob must not run
+# the default, and search has no fault plan to install.
+check_rejected typo-flag "nprobes" search "${COMMON[@]}" \
+  --model "$WORK/pq4.rpqq" --index ivf --nlist 16 --nprobes 1
+check_rejected search-faults "faults" search "${COMMON[@]}" "${GRAPH8[@]}" \
+  --faults "disk_read_error=0.5,seed=1"
+check_rejected switch-value "unexpected argument" search "${COMMON[@]}" \
+  "${GRAPH8[@]}" --hybrid 0
+
+# Corrupt inputs come back as an error, not an abort. A model whose dim has
+# its high byte set (128 -> 0x10000080, still a multiple of m) declares a
+# payload far past the end of the file.
+cp "$WORK/pq8.rpqq" "$WORK/inflated.rpqq"
+printf '\x80\x00\x00\x10' |
+  dd of="$WORK/inflated.rpqq" bs=1 seek=8 conv=notrunc status=none
+check_rejected inflated-dim "exceed" search "${COMMON[@]}" \
+  --graph "$WORK/g.bin" --model "$WORK/inflated.rpqq"
+# A NaN in query 3 (record = 4-byte dim + 128 floats).
+cp "$WORK/queries.fvecs" "$WORK/nan.fvecs"
+printf '\x00\x00\xc0\x7f' |
+  dd of="$WORK/nan.fvecs" bs=1 seek=$((3 * 516 + 4)) conv=notrunc status=none
+check_rejected nan-query "record 3" search --base "$WORK/base.fvecs" \
+  --queries "$WORK/nan.fvecs" "${GRAPH8[@]}"
 
 if [[ "$failures" -ne 0 ]]; then
   echo "$failures check(s) failed"

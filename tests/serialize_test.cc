@@ -93,6 +93,38 @@ TEST(SerializeTest, RejectsTruncatedModel) {
   std::remove(path.c_str());
 }
 
+TEST(SerializeTest, RejectsInflatedDimBeforeAllocating) {
+  Dataset d = SmallData();
+  OpqOptions opt;
+  opt.pq.m = 4;
+  opt.pq.k = 16;
+  opt.outer_iters = 1;
+  auto opq = TrainOpq(d, opt);
+  ASSERT_TRUE(opq->has_rotation());
+  std::string path = ::testing::TempDir() + "/inflated.rpqq";
+  ASSERT_TRUE(SaveQuantizer(*opq, path).ok());
+  // dim sits at byte 8 (after magic and version). Setting its high byte
+  // keeps dim % m == 0, so only the payload bound can catch it: the header
+  // now declares ~2^32 codebook floats and a ~2^56-float rotation. Loading
+  // must return a Status; an exception (std::bad_alloc) fails the test.
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  uint32_t dim = 0;
+  ASSERT_EQ(std::fseek(f, 8, SEEK_SET), 0);
+  ASSERT_EQ(std::fread(&dim, 4, 1, f), 1u);
+  ASSERT_EQ(dim, 32u);
+  dim |= 0x10000000u;
+  ASSERT_EQ(std::fseek(f, 8, SEEK_SET), 0);
+  ASSERT_EQ(std::fwrite(&dim, 4, 1, f), 1u);
+  std::fclose(f);
+  auto loaded = LoadQuantizer(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
+  EXPECT_NE(loaded.status().message().find("exceed"), std::string::npos)
+      << loaded.status().ToString();
+  std::remove(path.c_str());
+}
+
 TEST(SerializeTest, CodesRoundTrip) {
   Dataset d = SmallData();
   PqOptions opt;

@@ -23,10 +23,14 @@
 //                         [--faults "point=rate,...,seed=N"]
 //                         [--stats-port P] [--window-secs 5] [--slow-us 0]
 //                         [--slow-capacity 256] [--slow-json out.json]
-//   rpq_tool bench-diff   baseline.json candidate.json [--max-regress 10]
-//                         [--max-recall-regress 10]
 //   rpq_tool metrics-validate --json out.json [--require name1,name2,...]
 //                         [--diff older.json [--interval-secs 1]]
+//
+// Every command takes flags only, and only the flags it reads (the table in
+// Commands()): an unknown flag, a flag missing its value, or a bare word
+// exits 1 with an error naming it before any work. --hybrid, --residual,
+// --split, --store-vectors, --parallel-shards and --trace are switches and
+// take no value.
 //
 // Backend flags. search and serve-bench build their backend with one builder
 // (MakeBackend), so every backend flag means the same thing in both, and a
@@ -74,12 +78,7 @@
 // run (port 0 picks an ephemeral one, printed at startup). --slow-us T arms
 // the flight recorder's latency criterion (degraded/deadline/shed/hedged
 // queries are always admitted); --slow-capacity sizes its ring; --slow-json
-// writes the end-of-run dump for offline checks. bench-diff is the per-PR
-// regression gate over checked-in bench summaries (BENCH_serve.json,
-// BENCH_ivf.json): direction is inferred from metric names (recall/QPS must
-// not drop, latency/percentiles must not rise past tolerance) and the exit
-// code is non-zero on any regression, so CI turns red when the trajectory
-// moves.
+// writes the end-of-run dump for offline checks.
 //
 // --nbits 4 trains a 4-bit model (K = 16); searching such a model with
 // --mode fastscan routes through the shuffle-kernel scan path with float-ADC
@@ -147,7 +146,6 @@
 // graph/graph.h), so stages can run on different machines.
 #include <algorithm>
 #include <array>
-#include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -249,18 +247,35 @@ struct Flags {
   bool Has(const std::string& key) const { return kv.count(key) > 0; }
 };
 
-Flags ParseFlags(int argc, char** argv, int first) {
-  Flags f;
-  for (int i = first; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--", 2) != 0) continue;
-    std::string key = argv[i] + 2;
-    if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-      f.kv[key] = argv[++i];
+// Switches take no value: `--hybrid 0` is a stray word, not "off".
+bool IsSwitch(const std::string& name) {
+  return name == "hybrid" || name == "parallel-shards" || name == "residual" ||
+         name == "split" || name == "store-vectors" || name == "trace";
+}
+
+// Parses the arguments after the command name against the flags it reads.
+// Every argument must be a declared flag, and a non-switch flag must be
+// followed by its value; anything else is an error naming the argument.
+rpq::Status ParseFlags(int argc, char** argv,
+                       const std::vector<std::string>& accepted, Flags* f) {
+  for (int i = 2; i < argc; ++i) {
+    if (std::strncmp(argv[i], "--", 2) != 0) {
+      return rpq::Status::InvalidArgument(std::string("unexpected argument '") +
+                                          argv[i] + "' (flags only)");
+    }
+    const std::string key = argv[i] + 2;
+    if (std::find(accepted.begin(), accepted.end(), key) == accepted.end()) {
+      return rpq::Status::InvalidArgument("unknown flag --" + key);
+    }
+    if (IsSwitch(key)) {
+      f->kv[key] = "1";
+    } else if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
+      f->kv[key] = argv[++i];
     } else {
-      f.kv[key] = "1";  // boolean flag
+      return rpq::Status::InvalidArgument("--" + key + " expects a value");
     }
   }
-  return f;
+  return rpq::Status::OK();
 }
 
 int Fail(const std::string& msg) {
@@ -829,10 +844,9 @@ struct Replay {
 // timed loop of search and the recall line of serve-bench. With `trace` set,
 // each query carries an obs::QueryTrace that is noted into it. The disk
 // backend's simulated device time per query is printed on its own
-// `disk-io us/query` line (wall-clock QPS excludes it; bench/run_serve.sh
-// parses the line). With the registry on, the per-query mean of every disk
-// I/O counter that moved during the replay is printed from a diff of
-// snapshots taken around it.
+// `disk-io us/query` line (wall-clock QPS excludes it). With the registry
+// on, the per-query mean of every disk I/O counter that moved during the
+// replay is printed from a diff of snapshots taken around it.
 Replay ReplayQueries(const Backend& b, const Dataset& queries, size_t k,
                      TraceAccumulator* trace) {
   Replay out;
@@ -1278,200 +1292,55 @@ int CmdMetricsValidate(const Flags& flags) {
   return 0;
 }
 
-// ---------------------------------------------------------------------------
-// bench-diff: the per-PR regression gate. Compares two bench summary JSONs
-// (BENCH_serve.json, BENCH_ivf.json) leaf by leaf and exits non-zero when a
-// gated metric moved past tolerance. Direction is inferred from the metric
-// name: recall/QPS/throughput must not DROP more than --max-recall-regress
-// percent; latency/percentile/cost keys must not RISE more than
-// --max-regress percent; any other numeric leaf is informational. Gated
-// metrics present in the baseline but missing from the candidate also fail
-// (a silently vanished metric must not read as "no regression").
-
-enum class BenchDirection { kHigherBetter, kLowerBetter, kInfo };
-
-BenchDirection ClassifyBenchKey(const std::string& key) {
-  std::string k;
-  k.reserve(key.size());
-  for (char c : key) k += static_cast<char>(std::tolower(c));
-  auto has = [&k](const char* s) { return k.find(s) != std::string::npos; };
-  if (has("recall") || has("qps") || has("items_per_second") ||
-      has("throughput")) {
-    return BenchDirection::kHigherBetter;
-  }
-  if (has("p50") || has("p95") || has("p99") || has("latency") ||
-      has("us_per") || has("ms_per") || has("ns_per") || has("mean_ms") ||
-      has("wall") || has("cost") || has("seconds")) {
-    return BenchDirection::kLowerBetter;
-  }
-  return BenchDirection::kInfo;
-}
-
-struct BenchDiffReport {
-  double max_regress = 10.0;         // % tolerance for lower-better keys
-  double max_recall_regress = 10.0;  // % tolerance for higher-better keys
-  size_t compared = 0;
-  size_t gated = 0;
-  std::vector<std::string> failures;
-
-  void CompareLeaf(const std::string& path, const std::string& key,
-                   double old_v, double new_v) {
-    ++compared;
-    const BenchDirection dir = ClassifyBenchKey(key);
-    if (dir == BenchDirection::kInfo) return;
-    ++gated;
-    if (old_v <= 0) return;  // no meaningful relative change from zero
-    char line[256];
-    if (dir == BenchDirection::kLowerBetter) {
-      const double pct = (new_v - old_v) / old_v * 100.0;
-      if (pct > max_regress) {
-        std::snprintf(line, sizeof(line),
-                      "%s: %.6g -> %.6g (+%.1f%%, tolerance +%.1f%%)",
-                      path.c_str(), old_v, new_v, pct, max_regress);
-        failures.emplace_back(line);
-      }
-    } else {
-      const double pct = (old_v - new_v) / old_v * 100.0;
-      if (pct > max_recall_regress) {
-        std::snprintf(line, sizeof(line),
-                      "%s: %.6g -> %.6g (-%.1f%%, tolerance -%.1f%%)",
-                      path.c_str(), old_v, new_v, pct, max_recall_regress);
-        failures.emplace_back(line);
-      }
-    }
-  }
-
-  void Missing(const std::string& path) {
-    failures.push_back(path + ": gated metric missing from candidate");
-  }
+struct Command {
+  const char* name;
+  int (*run)(const Flags&);
+  std::vector<std::string> flags;  ///< every flag the command reads
 };
 
-// The sweep-table convention (BENCH_ivf.json): an object holding
-// "columns": ["nprobe", "recall@10", ...] plus sibling arrays of rows,
-// each row one array of numbers. Rows are matched between baseline and
-// candidate by their first cell (the sweep axis), and each remaining cell
-// is gated under its column name.
-void DiffBenchTable(const std::string& path,
-                    const std::vector<rpq::obs::JsonValue>& columns,
-                    const rpq::obs::JsonValue& old_rows,
-                    const rpq::obs::JsonValue& new_rows,
-                    BenchDiffReport* report) {
-  auto row_ok = [](const rpq::obs::JsonValue& r) {
-    return r.is_array() && !r.array.empty() && r.array[0].is_number();
+// The command table: main accepts exactly these flags per command.
+std::vector<Command> Commands() {
+  // The query set, k and MakeBackend's flags: shared by search and
+  // serve-bench.
+  const std::vector<std::string> backend = {
+      "base", "queries", "k", "index", "hybrid", "model", "graph", "beam",
+      "mode", "rerank", "rerank-mode", "store-vectors", "shards",
+      "parallel-shards", "shard-timeout-us", "hedge-us", "stall-ms",
+      "degree", "build-beam", "queue-depth", "io-width", "readahead",
+      "disk-error-rate", "disk-spike-rate", "fault-seed", "ivf", "nlist",
+      "nprobe", "train-sample", "residual", "nbits", "m"};
+  auto with_backend = [&backend](std::vector<std::string> own) {
+    own.insert(own.end(), backend.begin(), backend.end());
+    return own;
   };
-  for (const rpq::obs::JsonValue& old_row : old_rows.array) {
-    if (!row_ok(old_row)) continue;
-    const double axis = old_row.array[0].number;
-    const rpq::obs::JsonValue* new_row = nullptr;
-    for (const rpq::obs::JsonValue& candidate : new_rows.array) {
-      if (row_ok(candidate) && candidate.array[0].number == axis) {
-        new_row = &candidate;
-        break;
-      }
-    }
-    char axis_buf[48];
-    std::snprintf(axis_buf, sizeof(axis_buf), "%.6g", axis);
-    const std::string row_path = path + "[" + axis_buf + "]";
-    if (new_row == nullptr) {
-      report->Missing(row_path);
-      continue;
-    }
-    const size_t cells =
-        std::min(old_row.array.size(), new_row->array.size());
-    for (size_t j = 1; j < cells; ++j) {
-      if (!old_row.array[j].is_number() || !new_row->array[j].is_number()) {
-        continue;
-      }
-      const std::string col =
-          j < columns.size() &&
-                  columns[j].type == rpq::obs::JsonValue::Type::kString
-              ? columns[j].string
-              : "col" + std::to_string(j);
-      report->CompareLeaf(row_path + "." + col, col, old_row.array[j].number,
-                          new_row->array[j].number);
-    }
-  }
-}
-
-void DiffBenchValues(const std::string& path, const std::string& key,
-                     const rpq::obs::JsonValue& old_v,
-                     const rpq::obs::JsonValue& new_v,
-                     BenchDiffReport* report) {
-  if (old_v.is_number() && new_v.is_number()) {
-    report->CompareLeaf(path, key, old_v.number, new_v.number);
-    return;
-  }
-  if (old_v.is_object() && new_v.is_object()) {
-    const rpq::obs::JsonValue* old_cols = old_v.Find("columns");
-    const bool is_table = old_cols != nullptr && old_cols->is_array();
-    for (const auto& [name, old_child] : old_v.object) {
-      const std::string child_path =
-          path.empty() ? name : path + "." + name;
-      const rpq::obs::JsonValue* new_child = new_v.Find(name);
-      if (new_child == nullptr) {
-        // A vanished subtree fails only if it held gated leaves; probe it
-        // against itself to find out without duplicating the walk.
-        BenchDiffReport probe;
-        DiffBenchValues(child_path, name, old_child, old_child, &probe);
-        if (probe.gated > 0) report->Missing(child_path);
-        continue;
-      }
-      if (is_table && name != "columns" && old_child.is_array() &&
-          new_child->is_array()) {
-        DiffBenchTable(child_path, old_cols->array, old_child, *new_child,
-                       report);
-      } else {
-        DiffBenchValues(child_path, name, old_child, *new_child, report);
-      }
-    }
-    return;
-  }
-  if (old_v.is_array() && new_v.is_array()) {
-    const size_t n = std::min(old_v.array.size(), new_v.array.size());
-    for (size_t i = 0; i < n; ++i) {
-      DiffBenchValues(path + "[" + std::to_string(i) + "]", key,
-                      old_v.array[i], new_v.array[i], report);
-    }
-  }
-  // Strings, bools, and type mismatches (dates, descriptions) are not gated.
-}
-
-int CmdBenchDiff(const std::vector<std::string>& positional,
-                 const Flags& flags) {
-  if (positional.size() != 2) {
-    return Fail("usage: rpq_tool bench-diff <baseline.json> <candidate.json> "
-                "[--max-regress pct] [--max-recall-regress pct]");
-  }
-  rpq::obs::JsonValue old_root, new_root;
-  std::string err;
-  if (!ParseJsonFile(positional[0].c_str(), &old_root, &err)) return Fail(err);
-  if (!ParseJsonFile(positional[1].c_str(), &new_root, &err)) return Fail(err);
-
-  BenchDiffReport report;
-  report.max_regress = flags.GetDouble("max-regress", 10);
-  report.max_recall_regress =
-      flags.GetDouble("max-recall-regress", report.max_regress);
-  DiffBenchValues("", "", old_root, new_root, &report);
-
-  std::printf("bench-diff %s -> %s: %zu numeric leaves compared, %zu gated "
-              "(tolerance +%.1f%% / recall -%.1f%%)\n",
-              positional[0].c_str(), positional[1].c_str(), report.compared,
-              report.gated, report.max_regress, report.max_recall_regress);
-  if (report.failures.empty()) {
-    std::printf("no regressions past tolerance\n");
-    return 0;
-  }
-  for (const std::string& f : report.failures) {
-    std::fprintf(stderr, "REGRESSION %s\n", f.c_str());
-  }
-  return Fail(std::to_string(report.failures.size()) +
-              " regression(s) past tolerance");
+  return {
+      {"gen", CmdGen, {"name", "n", "queries", "seed", "out"}},
+      {"stats", CmdStats, {"base"}},
+      {"build-graph", CmdBuildGraph,
+       {"base", "type", "out", "degree", "build-beam"}},
+      {"train", CmdTrain,
+       {"base", "method", "out", "nbits", "m", "k", "split", "iters", "graph",
+        "epochs", "triplets", "routing-queries"}},
+      {"encode", CmdEncode, {"base", "model", "out"}},
+      {"build-ivf", CmdBuildIvf,
+       {"base", "model", "out", "rerank-mode", "residual", "nlist", "nprobe",
+        "store-vectors", "train-sample", "nbits", "m"}},
+      {"search", CmdSearch,
+       with_backend({"sweep-nprobe", "sweep-csv", "trace", "dump-top1"})},
+      {"serve-bench", CmdServeBench,
+       with_backend({"threads", "total", "rate", "batch", "deadline-us",
+                     "shed", "brownout", "faults", "metrics-json",
+                     "stats-port", "window-secs", "slow-us", "slow-capacity",
+                     "slow-json"})},
+      {"metrics-validate", CmdMetricsValidate,
+       {"json", "require", "diff", "interval-secs"}},
+  };
 }
 
 int Usage() {
   std::fprintf(stderr,
                "usage: rpq_tool <gen|stats|build-graph|train|encode|build-ivf|"
-               "search|serve-bench|bench-diff|metrics-validate> [--flags]\n"
+               "search|serve-bench|metrics-validate> [--flags]\n"
                "see the header of tools/rpq_tool.cc for the full pipeline\n");
   return 2;
 }
@@ -1480,29 +1349,13 @@ int Usage() {
 
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
-  std::string cmd = argv[1];
-  Flags flags = ParseFlags(argc, argv, 2);
-  if (cmd == "gen") return CmdGen(flags);
-  if (cmd == "stats") return CmdStats(flags);
-  if (cmd == "build-graph") return CmdBuildGraph(flags);
-  if (cmd == "train") return CmdTrain(flags);
-  if (cmd == "encode") return CmdEncode(flags);
-  if (cmd == "build-ivf") return CmdBuildIvf(flags);
-  if (cmd == "search") return CmdSearch(flags);
-  if (cmd == "serve-bench") return CmdServeBench(flags);
-  if (cmd == "bench-diff") {
-    // bench-diff takes its two files positionally; skip over flag values so
-    // "--max-regress 10" does not read as a file.
-    std::vector<std::string> positional;
-    for (int i = 2; i < argc; ++i) {
-      if (std::strncmp(argv[i], "--", 2) == 0) {
-        if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) ++i;
-        continue;
-      }
-      positional.emplace_back(argv[i]);
-    }
-    return CmdBenchDiff(positional, flags);
+  const std::string name = argv[1];
+  for (const Command& cmd : Commands()) {
+    if (name != cmd.name) continue;
+    Flags flags;
+    auto parsed = ParseFlags(argc, argv, cmd.flags, &flags);
+    if (!parsed.ok()) return Fail(name + ": " + parsed.message());
+    return cmd.run(flags);
   }
-  if (cmd == "metrics-validate") return CmdMetricsValidate(flags);
   return Usage();
 }
